@@ -9,16 +9,16 @@ from .graph import (Graph, GraphStats, gen_barabasi_albert, gen_random_regular,
                     laplacian_apply, load_edge_list, neighbor_sum,
                     write_edge_list)
 from .numerics import (ConvergenceError, DiagPlusLaplacianOperator,
-                       SolveReport, fixed_point_iterate, solve_spd)
+                       SolveReport, solve_spd)
 from .fj import fj_equilibrium, fj_step, opinion_vector
 from .media import (MediaAssignment, MediaConfig, SourceOpinions, SumBounds,
                     assign_media, build_zeta, equilibrium_with_media,
                     source_opinions, sum_bounds, truncated_lower_bound,
                     truncated_regular_sum)
 from .periods import (PeriodRecord, PeriodTrajectory, STOP_CAUSES,
-                      StopCriteria, alpha_half_limit, ell_star, run_periods)
-from .nonstubborn import (AugmentedInstance, augment_with_source,
-                          nonstubborn_equilibrium)
+                      StopCriteria, alpha_half_limit, ell_star,
+                      predicted_ell_star, run_periods)
+from .nonstubborn import nonstubborn_equilibrium
 from .harness import (CSV_COLUMNS, ExperimentConfig, GraphSpec, MODES,
                       RunManifest, config_from_manifest, rows_to_csv,
                       run_experiment, sample_innate)
@@ -29,14 +29,14 @@ __all__ = [
     "Graph", "GraphStats", "gen_barabasi_albert", "gen_random_regular",
     "laplacian_apply", "load_edge_list", "neighbor_sum", "write_edge_list",
     "ConvergenceError", "DiagPlusLaplacianOperator", "SolveReport",
-    "fixed_point_iterate", "solve_spd",
+    "solve_spd",
     "fj_equilibrium", "fj_step", "opinion_vector",
     "MediaAssignment", "MediaConfig", "SourceOpinions", "SumBounds",
     "assign_media", "build_zeta", "equilibrium_with_media", "source_opinions",
     "sum_bounds", "truncated_lower_bound", "truncated_regular_sum",
     "PeriodRecord", "PeriodTrajectory", "STOP_CAUSES", "StopCriteria",
-    "alpha_half_limit", "ell_star", "run_periods",
-    "AugmentedInstance", "augment_with_source", "nonstubborn_equilibrium",
+    "alpha_half_limit", "ell_star", "predicted_ell_star", "run_periods",
+    "nonstubborn_equilibrium",
     "CSV_COLUMNS", "ExperimentConfig", "GraphSpec", "MODES", "RunManifest",
     "config_from_manifest", "rows_to_csv", "run_experiment", "sample_innate",
     "__version__",

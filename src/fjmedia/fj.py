@@ -14,11 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph, neighbor_sum
-from .numerics import DiagPlusLaplacianOperator, fixed_point_iterate, solve_spd
+from .numerics import DiagPlusLaplacianOperator, solve_spd
 
 __all__ = ["opinion_vector", "fj_step", "fj_equilibrium"]
-
-_METHODS = ("direct-solve", "iterate")
 
 
 def opinion_vector(values, n: int | None = None) -> np.ndarray:
@@ -43,24 +41,12 @@ def fj_step(graph: Graph, s: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (s + neighbor_sum(graph, z)) / (1.0 + graph.degree)
 
 
-def fj_equilibrium(graph: Graph, s: np.ndarray, method: str = "direct-solve",
-                   tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
-    """Equilibrium opinions z* = (I + L)^{-1} s.
+def fj_equilibrium(graph: Graph, s: np.ndarray, tol: float = 1e-10,
+                   max_iter: int | None = None) -> np.ndarray:
+    """Equilibrium opinions z* = (I + L)^{-1} s, by conjugate gradient.
 
-    ``method="direct-solve"`` runs conjugate gradient on (I + L) z = s;
-    ``method="iterate"`` repeats :func:`fj_step` from z = s until the
-    l-infinity change drops to ``tol``.  On a graph with no edges both return
-    s itself.
+    On a graph with no edges this returns s itself.
     """
     s = opinion_vector(s, graph.n)
-    if method == "direct-solve":
-        op = DiagPlusLaplacianOperator(graph, np.ones(graph.n))
-        return solve_spd(op, s, tol=tol, max_iter=max_iter).solution
-    if method == "iterate":
-        # raw update, not fj_step: iterates may drift an ulp outside [0, 1]
-        denom = 1.0 + graph.degree
-        report = fixed_point_iterate(
-            lambda z: (s + neighbor_sum(graph, z)) / denom, s, tol=tol,
-            max_iter=100_000 if max_iter is None else max_iter)
-        return report.solution
-    raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    op = DiagPlusLaplacianOperator(graph, np.ones(graph.n))
+    return solve_spd(op, s, tol=tol, max_iter=max_iter).solution

@@ -23,7 +23,7 @@ from .media import (MediaConfig, assign_media, build_zeta,
                     truncated_regular_sum)
 from .nonstubborn import nonstubborn_equilibrium
 from .numerics import ConvergenceError
-from .periods import StopCriteria, ell_star, run_periods
+from .periods import StopCriteria, predicted_ell_star, run_periods
 
 __all__ = [
     "MODES",
@@ -199,7 +199,7 @@ def run_experiment(config: ExperimentConfig):
 
     rows: list[dict] = []
     cached_file_graph: Graph | None = None
-    epsilon_recorded = False
+    stop = None
     rep_entries: list[tuple[str, str]] = []
 
     for i in range(config.repetitions):
@@ -216,12 +216,15 @@ def run_experiment(config: ExperimentConfig):
                               innate_seed)
             assignment = assign_media(graph, config.alpha, assign_seed)
 
-            if config.mode == "periods" and not epsilon_recorded:
-                eps = 10.0 / graph.n if config.epsilon is None else config.epsilon
-                manifest.add("epsilon", eps)
-                epsilon_recorded = True
+            if config.mode == "periods":
+                stop = StopCriteria.for_run(config.gamma, graph.n,
+                                            max_periods=config.max_periods,
+                                            epsilon=config.epsilon,
+                                            fixed_point_tol=config.fixed_point_tol)
+                if i == 0:
+                    manifest.add("epsilon", stop.epsilon)
 
-            rows.extend(_run_one(config, i, graph, s, assignment))
+            rows.extend(_run_one(config, i, graph, s, assignment, stop))
         except ConvergenceError as exc:
             raise ConvergenceError(f"repetition {i}: {exc}", exc.iterations,
                                    exc.residual) from exc
@@ -249,13 +252,9 @@ def run_experiment(config: ExperimentConfig):
     return manifest, rows
 
 
-def _run_one(config, rep, graph, s, assignment):
+def _run_one(config, rep, graph, s, assignment, stop):
     media = config.media
     if config.mode == "periods":
-        stop = StopCriteria.for_run(config.gamma, graph.n,
-                                    max_periods=config.max_periods,
-                                    epsilon=config.epsilon,
-                                    fixed_point_tol=config.fixed_point_tol)
         traj = run_periods(graph, s, media, assignment, stop, tol=config.tol)
         return [
             {"rep": rep, "period": r.period, "sum_z": r.sum_z, "mean_z": r.mean_z,
@@ -265,43 +264,31 @@ def _run_one(config, rep, graph, s, assignment):
         ]
 
     sum_s = float(s.sum())
+    src = source_opinions(s, config.gamma)
+    if config.mode == "nonstubborn":
+        z, z_m_star = nonstubborn_equilibrium(graph, s, media, tol=config.tol)
+        bound = (1.0 + (1.0 + config.gamma) / graph.n) * sum_s
+        return [{"rep": rep, "sum_s": sum_s, "sum_z": float(z.sum()),
+                 "mean_z": float(z.mean()), "s_M": src.z_M, "z_M_star": z_m_star,
+                 "bound": bound}]
+
+    # the uncapped bracket, or the capped regular-graph sum where it applies
+    lower = upper = exact = None
+    if not src.truncated:
+        b = sum_bounds(graph, s, media)
+        lower, upper, exact = b.lower, b.upper, b.exact_if_regular
+    elif graph.stats.is_regular:
+        exact = truncated_regular_sum(graph.stats.d_max, graph.n, sum_s, media)
+
     if config.mode == "equilibrium":
-        src = source_opinions(s, config.gamma)
         zeta = build_zeta(assignment, src.z_M, src.z_Mprime)
-        z = equilibrium_with_media(graph, s, assignment, config.beta,
-                                   zeta, tol=config.tol)
-        lower = upper = exact = None
-        if src.truncated:
-            if graph.stats.is_regular:
-                exact = truncated_regular_sum(graph.stats.d_max, graph.n,
-                                              sum_s, media)
-        else:
-            b = sum_bounds(graph, s, media)
-            lower, upper, exact = b.lower, b.upper, b.exact_if_regular
+        z = equilibrium_with_media(graph, s, config.beta, zeta, tol=config.tol)
         return [{"rep": rep, "sum_s": sum_s, "sum_z": float(z.sum()),
                  "lower": lower, "upper": upper, "exact_if_regular": exact,
                  "truncated": src.truncated}]
 
-    if config.mode == "nonstubborn":
-        z, z_m_star = nonstubborn_equilibrium(graph, s, media, tol=config.tol)
-        s_M = min((1.0 + config.gamma) * float(s.mean()), 1.0)
-        bound = (1.0 + (1.0 + config.gamma) / graph.n) * sum_s
-        return [{"rep": rep, "sum_s": sum_s, "sum_z": float(z.sum()),
-                 "mean_z": float(z.mean()), "s_M": s_M, "z_M_star": z_m_star,
-                 "bound": bound}]
-
     # bounds mode: formulas only, no solve
-    src = source_opinions(s, config.gamma)
-    lower = upper = exact = lstar = None
-    if src.truncated:
-        if graph.stats.is_regular:
-            exact = truncated_regular_sum(graph.stats.d_max, graph.n, sum_s, media)
-    else:
-        b = sum_bounds(graph, s, media)
-        lower, upper, exact = b.lower, b.upper, b.exact_if_regular
-        if (graph.stats.is_regular and config.alpha > 0.5 and config.beta > 0
-                and config.gamma > 0 and sum_s > 0):
-            lstar = ell_star(graph.n, sum_s, graph.stats.d_max, media)
+    lstar = None if src.truncated else predicted_ell_star(graph, sum_s, media)
     return [{"rep": rep, "sum_s": sum_s, "lower": lower, "upper": upper,
              "exact_if_regular": exact, "ell_star": lstar}]
 

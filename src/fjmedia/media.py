@@ -35,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fj import opinion_vector
-from .graph import Graph, neighbor_sum
-from .numerics import DiagPlusLaplacianOperator, fixed_point_iterate, solve_spd
+from .graph import Graph
+from .graph import neighbor_sum  # noqa: F401  unused; bench/test_bench.py reads it here
+from .numerics import DiagPlusLaplacianOperator, solve_spd
 
 __all__ = [
     "MediaConfig",
@@ -80,19 +81,19 @@ class MediaAssignment:
     """Which nodes follow source M (the rest follow M')."""
 
     attached_to_M: np.ndarray
-    count_M: int
 
     def __post_init__(self) -> None:
-        mask = np.asarray(self.attached_to_M, dtype=bool).ravel()
-        if int(mask.sum()) != self.count_M:
-            raise ValueError("count_M does not match the mask")
-        mask = mask.copy()
+        mask = np.asarray(self.attached_to_M, dtype=bool).ravel().copy()
         mask.setflags(write=False)
         object.__setattr__(self, "attached_to_M", mask)
 
     @property
     def n(self) -> int:
         return int(self.attached_to_M.size)
+
+    @property
+    def count_M(self) -> int:
+        return int(np.count_nonzero(self.attached_to_M))
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def assign_media(graph: Graph, alpha: float, seed: int) -> MediaAssignment:
     mask = np.zeros(n, dtype=bool)
     if count:
         mask[rng.choice(n, size=count, replace=False)] = True
-    return MediaAssignment(attached_to_M=mask, count_M=count)
+    return MediaAssignment(mask)
 
 
 def source_opinions(s: np.ndarray, gamma: float) -> SourceOpinions:
@@ -166,43 +167,27 @@ def build_zeta(assignment: MediaAssignment, z_M: float, z_Mprime: float) -> np.n
     return np.where(assignment.attached_to_M, float(z_M), float(z_Mprime))
 
 
-def equilibrium_with_media(graph: Graph, s: np.ndarray, assignment: MediaAssignment,
-                           beta: float, zeta: np.ndarray, method: str = "direct-solve",
-                           tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
-    """Equilibrium under media influence.
+def equilibrium_with_media(graph: Graph, s: np.ndarray, beta: float,
+                           zeta: np.ndarray, tol: float = 1e-10,
+                           max_iter: int | None = None) -> np.ndarray:
+    """Equilibrium under media influence, by conjugate gradient on
 
-    Solves ((1+beta) I + beta D + L) z = s + beta (I+D) zeta directly, or
-    iterates the augmented averaging map
+        ((1+beta) I + beta D + L) z = s + beta (I+D) zeta
 
-        z <- (s + W z + beta (1 + d) zeta) / (1 + d + beta (1 + d))
-
-    from z = s until the l-infinity change reaches ``tol``.  beta = 0 reduces
-    to the plain FJ equilibrium; s == zeta == c*1 returns the consensus c.
+    where zeta_i is the opinion of the source node i follows.  beta = 0
+    reduces to the plain FJ equilibrium; s == zeta == c*1 returns the
+    consensus c.
     """
     s = opinion_vector(s, graph.n)
     zeta = np.asarray(zeta, dtype=np.float64).ravel()
-    if assignment.n != graph.n or zeta.shape != (graph.n,):
-        raise ValueError("assignment and zeta must match the graph size")
+    if zeta.shape != (graph.n,):
+        raise ValueError("zeta must match the graph size")
     if not (np.isfinite(beta) and beta >= 0.0):
         raise ValueError("beta must be >= 0")
-    mask = assignment.attached_to_M
-    for side in (mask, ~mask):
-        vals = zeta[side]
-        if vals.size and np.any(vals != vals[0]):
-            raise ValueError("zeta is not constant per media source")
     media_weight = beta * (1.0 + graph.degree)
-    if method == "direct-solve":
-        # diagonal (1 + beta) + beta d_i written as 1 + beta (1 + d_i)
-        op = DiagPlusLaplacianOperator(graph, 1.0 + media_weight)
-        return solve_spd(op, s + media_weight * zeta, tol=tol, max_iter=max_iter).solution
-    if method == "iterate":
-        denom = 1.0 + graph.degree + media_weight
-        pull = s + media_weight * zeta
-        report = fixed_point_iterate(
-            lambda z: (pull + neighbor_sum(graph, z)) / denom, s, tol=tol,
-            max_iter=100_000 if max_iter is None else max_iter)
-        return report.solution
-    raise ValueError(f"method must be 'direct-solve' or 'iterate', got {method!r}")
+    # diagonal (1 + beta) + beta d_i written as 1 + beta (1 + d_i)
+    op = DiagPlusLaplacianOperator(graph, 1.0 + media_weight)
+    return solve_spd(op, s + media_weight * zeta, tol=tol, max_iter=max_iter).solution
 
 
 def sum_bounds(graph: Graph, s: np.ndarray, config: MediaConfig) -> SumBounds:

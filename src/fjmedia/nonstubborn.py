@@ -14,73 +14,34 @@ the n-independent gain a stubborn source achieves.  Only full attachment
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fj import opinion_vector
+from .fj import fj_equilibrium, opinion_vector
 from .graph import Graph
-from .media import MediaConfig
-from .numerics import DiagPlusLaplacianOperator, solve_spd
+from .media import MediaConfig, source_opinions
 
-__all__ = ["AugmentedInstance", "augment_with_source", "nonstubborn_equilibrium"]
-
-
-@dataclass(frozen=True)
-class AugmentedInstance:
-    """The (n+1)-node FJ instance: base graph + one persuadable source."""
-
-    base: Graph
-    media_edge_weights: np.ndarray
-    s_M: float
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.media_edge_weights, dtype=np.float64).ravel()
-        if w.shape != (self.base.n,):
-            raise ValueError("need one media edge weight per base node")
-        if np.any(w < 0):
-            raise ValueError("media edge weights must be >= 0")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "media_edge_weights", w)
-
-    def build_graph(self) -> Graph:
-        """Materialise the augmented graph; source gets id n."""
-        n = self.base.n
-        keep = self.media_edge_weights > 0.0  # zero-weight edges are no edges
-        src_u = np.nonzero(keep)[0].astype(np.int64)
-        return Graph(
-            n + 1,
-            np.concatenate([self.base.edge_u, src_u]),
-            np.concatenate([self.base.edge_v, np.full(src_u.size, n, dtype=np.int64)]),
-            np.concatenate([self.base.edge_w, self.media_edge_weights[keep]]),
-        )
-
-
-def augment_with_source(graph: Graph, beta: float, s_M: float) -> AugmentedInstance:
-    if not (np.isfinite(beta) and beta >= 0.0):
-        raise ValueError("beta must be >= 0")
-    if not 0.0 <= s_M <= 1.0:
-        raise ValueError("s_M must lie in [0, 1]")
-    return AugmentedInstance(base=graph,
-                             media_edge_weights=beta * (1.0 + graph.degree),
-                             s_M=float(s_M))
+__all__ = ["nonstubborn_equilibrium"]
 
 
 def nonstubborn_equilibrium(graph: Graph, s: np.ndarray, config: MediaConfig,
                             tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Equilibrium with one non-stubborn source; returns (node opinions, z_M*).
 
-    Builds the (n+1)-node instance and solves plain FJ on it.  Rejects
-    alpha != 1: the single-source analysis assumes everyone listens to M.
+    Builds the (n+1)-node graph, with the source as node n, and solves plain
+    FJ on it.  Rejects alpha != 1: the single-source analysis assumes
+    everyone listens to M.
     """
     if config.alpha != 1.0:
         raise ValueError("non-stubborn mode requires alpha = 1")
     s = opinion_vector(s, graph.n)
-    s_M = min((1.0 + config.gamma) * float(s.mean()), 1.0)
-    inst = augment_with_source(graph, config.beta, s_M)
-    aug = inst.build_graph()
-    s_aug = np.concatenate([s, [s_M]])
-    op = DiagPlusLaplacianOperator(aug, np.ones(aug.n))
-    z = solve_spd(op, s_aug, tol=tol).solution
-    return z[:graph.n], float(z[graph.n])
+    n = graph.n
+    weight = config.beta * (1.0 + graph.degree)
+    keep = weight > 0.0  # zero-weight edges are no edges
+    src_u = np.nonzero(keep)[0].astype(np.int64)
+    aug = Graph(n + 1,
+                np.concatenate([graph.edge_u, src_u]),
+                np.concatenate([graph.edge_v, np.full(src_u.size, n, dtype=np.int64)]),
+                np.concatenate([graph.edge_w, weight[keep]]))
+    s_M = source_opinions(s, config.gamma).z_M
+    z = fj_equilibrium(aug, np.append(s, s_M), tol=tol)
+    return z[:n], float(z[n])

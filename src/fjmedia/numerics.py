@@ -19,12 +19,11 @@ __all__ = [
     "SolveReport",
     "ConvergenceError",
     "solve_spd",
-    "fixed_point_iterate",
 ]
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative method hits its iteration cap.
+    """Raised when conjugate gradient hits its iteration cap.
 
     Carries the iteration count and the last residual so callers can report
     how close the solve got.
@@ -66,8 +65,7 @@ class DiagPlusLaplacianOperator:
 class SolveReport:
     """Solution plus how hard the solver worked.
 
-    ``residual`` is relative: ||A x - b|| / ||b|| in the 2-norm for CG, the
-    last l-infinity step change for fixed-point iteration.
+    ``residual`` is relative: ||A x - b|| / ||b|| in the 2-norm.
     """
 
     solution: np.ndarray
@@ -126,29 +124,4 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10
         f"(residual {final:.3e})",
         iterations=max_iter,
         residual=final,
-    )
-
-
-def fixed_point_iterate(step, x0: np.ndarray, tol: float = 1e-10,
-                        max_iter: int = 100_000) -> SolveReport:
-    """Iterate ``x <- step(x)`` until the l-infinity change drops to ``tol``.
-
-    Returns the final iterate, the number of ``step`` evaluations, and the
-    last step change.  Raises :class:`ConvergenceError` at the cap.
-    """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    x = np.asarray(x0, dtype=np.float64).copy()
-    delta = np.inf
-    for k in range(1, max_iter + 1):
-        x_next = np.asarray(step(x), dtype=np.float64)
-        delta = float(np.max(np.abs(x_next - x))) if x.size else 0.0
-        x = x_next
-        if delta <= tol:
-            return SolveReport(x, k, delta)
-    raise ConvergenceError(
-        f"fixed-point iteration did not reach tol={tol:g} in {max_iter} steps "
-        f"(last change {delta:.3e})",
-        iterations=max_iter,
-        residual=delta,
     )

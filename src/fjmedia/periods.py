@@ -10,7 +10,7 @@ conserved forever and the opinions converge to a limit profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "PeriodTrajectory",
     "run_periods",
     "ell_star",
+    "predicted_ell_star",
     "alpha_half_limit",
     "STOP_CAUSES",
 ]
@@ -62,13 +63,21 @@ class StopCriteria:
     def for_run(cls, gamma: float, n: int, max_periods: int = 1000,
                 epsilon: float | None = None,
                 fixed_point_tol: float | None = 1e-10) -> "StopCriteria":
-        """Defaults: up at 1/(1+gamma), down at 10/n."""
-        return cls(
-            up_threshold=1.0 / (1.0 + gamma),
-            epsilon=10.0 / n if epsilon is None else epsilon,
-            max_periods=max_periods,
-            fixed_point_tol=fixed_point_tol,
-        )
+        """Defaults: up at 1/(1+gamma), down at 10/n.
+
+        The 10/n default needs n > 10 (1 + gamma); on smaller graphs pass
+        ``epsilon`` explicitly.
+        """
+        up = 1.0 / (1.0 + gamma)
+        if epsilon is None:
+            epsilon = 10.0 / n
+            if epsilon >= up:
+                raise ValueError(
+                    f"default epsilon 10/n = {epsilon:g} is not below the "
+                    f"up threshold 1/(1+gamma) = {up:g}; pass an explicit "
+                    f"epsilon (--epsilon on the command line)")
+        return cls(up_threshold=up, epsilon=epsilon, max_periods=max_periods,
+                   fixed_point_tol=fixed_point_tol)
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,8 @@ def run_periods(graph: Graph, s0: np.ndarray, config: MediaConfig,
         raise ValueError("assignment size does not match graph")
 
     traj = PeriodTrajectory()
-    traj.ell_star_predicted = _predict_ell_star(graph, s, config, assignment)
+    realized = replace(config, alpha=assignment.count_M / graph.n)
+    traj.ell_star_predicted = predicted_ell_star(graph, float(s.sum()), realized)
 
     src = source_opinions(s, config.gamma)
     traj.records.append(PeriodRecord(0, float(s.sum()), float(s.mean()),
@@ -135,8 +145,7 @@ def run_periods(graph: Graph, s0: np.ndarray, config: MediaConfig,
         src = source_opinions(s, config.gamma)
         zeta = build_zeta(assignment, src.z_M, src.z_Mprime)
         try:
-            z = equilibrium_with_media(graph, s, assignment, config.beta, zeta,
-                                       method="direct-solve", tol=tol)
+            z = equilibrium_with_media(graph, s, config.beta, zeta, tol=tol)
         except ConvergenceError as exc:
             raise ConvergenceError(f"period {t}: {exc}", exc.iterations,
                                    exc.residual) from exc
@@ -158,22 +167,6 @@ def run_periods(graph: Graph, s0: np.ndarray, config: MediaConfig,
             return traj
     traj.stop_cause = "max_periods"
     return traj
-
-
-def _predict_ell_star(graph, s, config, assignment) -> float | None:
-    """ell* when the closed form applies: regular graph, majority on M,
-    positive mass, uncapped start.  Uses the realized attachment fraction."""
-    stats = graph.stats
-    if not stats.is_regular or config.beta <= 0.0 or config.gamma <= 0.0:
-        return None
-    alpha_realized = assignment.count_M / graph.n
-    if alpha_realized <= 0.5:
-        return None
-    sum_s = float(s.sum())
-    if sum_s <= 0.0 or (1.0 + config.gamma) * sum_s / graph.n > 1.0:
-        return None
-    cfg = MediaConfig(alpha=alpha_realized, beta=config.beta, gamma=config.gamma)
-    return ell_star(graph.n, sum_s, stats.d_max, cfg)
 
 
 def ell_star(n: int, sum_s0: float, d: float, config: MediaConfig) -> float:
@@ -200,6 +193,22 @@ def ell_star(n: int, sum_s0: float, d: float, config: MediaConfig) -> float:
     b = (d + 1.0) * config.beta
     growth = 1.0 + config.gamma * b * (2.0 * config.alpha - 1.0) / (b + 1.0)
     return math.log(n / (sum_s0 * (1.0 + config.gamma))) / math.log(growth)
+
+
+def predicted_ell_star(graph: Graph, sum_s0: float,
+                       config: MediaConfig) -> float | None:
+    """:func:`ell_star` on ``graph`` where its closed form applies, else None.
+
+    It applies on a regular graph inside the domain :func:`ell_star` checks.
+    The caller picks the alpha: the period protocol passes the realized
+    attachment fraction, the bounds mode the nominal one.
+    """
+    if not graph.stats.is_regular:
+        return None
+    try:
+        return ell_star(graph.n, sum_s0, graph.stats.d_max, config)
+    except ValueError:  # outside the domain of the closed form
+        return None
 
 
 def alpha_half_limit(graph: Graph, beta: float, zeta0: np.ndarray,

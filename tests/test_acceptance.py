@@ -18,6 +18,7 @@ from fjmedia import (MediaConfig, StopCriteria, alpha_half_limit,
                      source_opinions, sum_bounds, truncated_lower_bound,
                      truncated_regular_sum)
 from fjmedia.cli import main as cli_main
+from oracles import iterate_media
 
 
 def _random_graph(rng, n_max=500):
@@ -62,9 +63,8 @@ def test_criterion_02_direct_vs_iterate():
                          seed=int(rng.integers(2**31)))
         src = source_opinions(s, gamma)
         zeta = build_zeta(a, src.z_M, src.z_Mprime)
-        direct = equilibrium_with_media(g, s, a, beta, zeta, tol=1e-10)
-        iterated = equilibrium_with_media(g, s, a, beta, zeta,
-                                          method="iterate", tol=1e-10)
+        direct = equilibrium_with_media(g, s, beta, zeta, tol=1e-10)
+        iterated = iterate_media(g, s, beta, zeta, tol=1e-10)
         diff = float(np.max(np.abs(direct - iterated)))
         assert diff <= 1e-7
         worst = max(worst, diff)
@@ -87,7 +87,7 @@ def test_criterion_03_bounds_bracket():
         assert not src.truncated
         a = assign_media(g, config.alpha, seed=int(rng.integers(2**31)))
         zeta = build_zeta(a, src.z_M, src.z_Mprime)
-        z = equilibrium_with_media(g, s, a, config.beta, zeta, tol=1e-10)
+        z = equilibrium_with_media(g, s, config.beta, zeta, tol=1e-10)
         b = sum_bounds(g, s, config)
         total = float(z.sum())
         if not (b.lower - 1e-8 <= total <= b.upper + 1e-8):
@@ -115,7 +115,7 @@ def test_criterion_04_regular_exactness():
         assert a.count_M == round(config.alpha * n)
         src = source_opinions(s, config.gamma)
         zeta = build_zeta(a, src.z_M, src.z_Mprime)
-        z = equilibrium_with_media(g, s, a, config.beta, zeta, tol=1e-11)
+        z = equilibrium_with_media(g, s, config.beta, zeta, tol=1e-11)
         exact = sum_bounds(g, s, config).exact_if_regular
         err = abs(float(z.sum()) - exact)
         assert err <= 1e-8 * n, (i, d, n)
@@ -139,7 +139,7 @@ def test_criterion_05_truncated_regime():
         assert src.truncated and src.z_M == 1.0
         a = assign_media(g, config.alpha, seed=int(rng.integers(2**31)))
         zeta = build_zeta(a, src.z_M, src.z_Mprime)
-        z = equilibrium_with_media(g, s, a, config.beta, zeta, tol=1e-11)
+        z = equilibrium_with_media(g, s, config.beta, zeta, tol=1e-11)
         total = float(z.sum())
         sum_s = float(s.sum())
         want = truncated_regular_sum(d, n, sum_s, config)

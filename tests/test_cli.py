@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fjmedia
 from fjmedia import load_edge_list
 from fjmedia.cli import main
 
@@ -151,6 +154,20 @@ def test_alpha_out_of_range_reports_error(capsys):
     assert code == 2 and "alpha" in err
 
 
+@pytest.mark.parametrize("n", ["10", "11"])
+def test_small_n_periods_asks_for_epsilon(tmp_path, capsys, n):
+    # default epsilon 10/n is not below 1/(1+gamma) = 1/1.1 for n <= 11
+    out = tmp_path / "p.csv"
+    argv = ["periods", "--gen", "dreg", "--n", n, "--d", "2", "--alpha", "1",
+            "--beta", "0.1", "--gamma", "0.1", "--reps", "2", "--out", str(out)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "--epsilon" in err and "10/n" in err
+    assert not out.exists()
+    code, _, err = run_cli(capsys, *argv, "--epsilon", "0.05")
+    assert code == 0 and err == ""
+    assert "epsilon = 0.050000000000000003\n" in (tmp_path / "p.csv.manifest").read_text()
+
+
 def test_missing_required_flag_exits(capsys):
     with pytest.raises(SystemExit):
         main(["equilibrium", "--gen", "dreg", "--n", "10", "--d", "2",
@@ -162,9 +179,12 @@ def test_missing_required_flag_exits(capsys):
 
 
 def test_module_invocation():
+    # the child imports the same fjmedia as this process, installed or not
+    src = str(Path(fjmedia.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fjmedia", "generate", "--gen", "dreg",
          "--n", "6", "--d", "2", "--seed", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.startswith("# fjmedia generate:")

@@ -3,7 +3,7 @@ import pytest
 
 from fjmedia import (Graph, fj_equilibrium, fj_step, gen_barabasi_albert,
                      gen_random_regular, opinion_vector)
-from oracles import fj_matrix
+from oracles import fj_matrix, iterate_media
 from oracles import solve as dense_solve
 
 
@@ -107,14 +107,9 @@ def test_methods_agree():
     rng = np.random.default_rng(13)
     g = gen_random_regular(60, 4, seed=2)
     s = rng.uniform(0.0, 1.0, g.n)
-    direct = fj_equilibrium(g, s, method="direct-solve", tol=1e-12)
-    iterated = fj_equilibrium(g, s, method="iterate", tol=1e-12)
+    direct = fj_equilibrium(g, s, tol=1e-12)
+    iterated = iterate_media(g, s, 0.0, np.zeros(g.n), tol=1e-12)
     assert np.max(np.abs(direct - iterated)) <= 1e-10
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        fj_equilibrium(path3(), np.array([0.0, 0.5, 1.0]), method="jacobi")
 
 
 def test_innate_length_checked():

@@ -5,7 +5,7 @@ from fjmedia import (Graph, MediaAssignment, MediaConfig, assign_media,
                      build_zeta, equilibrium_with_media, fj_equilibrium,
                      gen_barabasi_albert, gen_random_regular, source_opinions,
                      sum_bounds, truncated_lower_bound, truncated_regular_sum)
-from oracles import media_matrix, media_rhs
+from oracles import iterate_media, media_matrix, media_rhs
 from oracles import solve as dense_solve
 
 
@@ -19,7 +19,7 @@ def complete_graph(n):
 
 
 def all_to_M(n):
-    return MediaAssignment(attached_to_M=np.ones(n, dtype=bool), count_M=n)
+    return MediaAssignment(np.ones(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +64,9 @@ def test_assign_deterministic():
     assert not np.array_equal(a.attached_to_M, c.attached_to_M)
 
 
-def test_assignment_count_checked():
-    with pytest.raises(ValueError):
-        MediaAssignment(attached_to_M=np.array([True, False]), count_M=2)
+def test_count_M_follows_the_mask():
+    a = MediaAssignment(np.array([True, False, True]))
+    assert (a.n, a.count_M) == (3, 2)
 
 
 def test_assignment_mask_read_only():
@@ -108,7 +108,7 @@ def test_source_opinions_validation():
 
 
 def test_build_zeta():
-    a = MediaAssignment(attached_to_M=np.array([True, False, True]), count_M=2)
+    a = MediaAssignment(np.array([True, False, True]))
     zeta = build_zeta(a, 0.9, 0.1)
     assert np.array_equal(zeta, [0.9, 0.1, 0.9])
 
@@ -121,7 +121,7 @@ def test_beta_zero_reduces_to_fj():
     g = gen_barabasi_albert(40, 2, seed=5)
     s = np.random.default_rng(5).uniform(0.0, 1.0, g.n)
     a = assign_media(g, 0.5, seed=1)
-    z = equilibrium_with_media(g, s, a, 0.0, build_zeta(a, 0.7, 0.3), tol=1e-12)
+    z = equilibrium_with_media(g, s, 0.0, build_zeta(a, 0.7, 0.3), tol=1e-12)
     assert np.max(np.abs(z - fj_equilibrium(g, s, tol=1e-12))) <= 1e-9
 
 
@@ -129,7 +129,7 @@ def test_consensus_with_agreeing_sources():
     g = gen_random_regular(20, 4, seed=1)
     s = np.full(g.n, 0.6)
     a = assign_media(g, 0.5, seed=2)
-    z = equilibrium_with_media(g, s, a, 0.8, build_zeta(a, 0.6, 0.6))
+    z = equilibrium_with_media(g, s, 0.8, build_zeta(a, 0.6, 0.6))
     assert np.allclose(z, 0.6, atol=1e-9)
 
 
@@ -139,7 +139,7 @@ def test_path_all_to_M_frozen():
     s = np.array([0.0, 0.5, 1.0])
     src = source_opinions(s, gamma=0.01)
     zeta = build_zeta(all_to_M(3), src.z_M, src.z_Mprime)
-    z = equilibrium_with_media(g, s, all_to_M(3), 0.5, zeta, tol=1e-12)
+    z = equilibrium_with_media(g, s, 0.5, zeta, tol=1e-12)
     want = [0.33594202898550724, 0.5028260869565216, 0.6692753623188407]
     assert np.allclose(z, want, atol=1e-10)
     assert z.sum() == pytest.approx(1.5080434782608694, abs=1e-10)
@@ -151,9 +151,8 @@ def test_direct_and_iterate_agree():
     s = rng.uniform(0.0, 1.0, g.n)
     a = assign_media(g, 0.4, seed=3)
     zeta = build_zeta(a, 0.8, 0.2)
-    direct = equilibrium_with_media(g, s, a, 0.3, zeta, tol=1e-12)
-    iterated = equilibrium_with_media(g, s, a, 0.3, zeta, method="iterate",
-                                      tol=1e-13)
+    direct = equilibrium_with_media(g, s, 0.3, zeta, tol=1e-12)
+    iterated = iterate_media(g, s, 0.3, zeta, tol=1e-13)
     assert np.max(np.abs(direct - iterated)) <= 1e-9
 
 
@@ -166,27 +165,18 @@ def test_equilibrium_matches_dense_oracle():
         a = assign_media(g, float(rng.uniform(0.0, 1.0)), seed=seed)
         src = source_opinions(s, float(rng.uniform(0.0, 0.5)))
         zeta = build_zeta(a, src.z_M, src.z_Mprime)
-        got = equilibrium_with_media(g, s, a, beta, zeta, tol=1e-12)
+        got = equilibrium_with_media(g, s, beta, zeta, tol=1e-12)
         want = dense_solve(media_matrix(g, beta), media_rhs(g, s, beta, zeta))
         assert np.max(np.abs(got - want)) <= 1e-8
-
-
-def test_zeta_must_be_constant_per_source():
-    g = path3()
-    s = np.array([0.5, 0.5, 0.5])
-    a = MediaAssignment(attached_to_M=np.array([True, True, False]), count_M=2)
-    bad = np.array([0.9, 0.8, 0.1])  # two different values on the M side
-    with pytest.raises(ValueError, match="constant"):
-        equilibrium_with_media(g, s, a, 0.5, bad)
 
 
 def test_equilibrium_input_sizes_checked():
     g = path3()
     s = np.array([0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
-        equilibrium_with_media(g, s, all_to_M(4), 0.5, np.full(4, 0.5))
+        equilibrium_with_media(g, s, 0.5, np.full(4, 0.5))
     with pytest.raises(ValueError):
-        equilibrium_with_media(g, s, all_to_M(3), -0.5, np.full(3, 0.5))
+        equilibrium_with_media(g, s, -0.5, np.full(3, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +221,7 @@ def test_sum_bounds_bracket_measured_sum():
         a = assign_media(g, config.alpha, seed=seed)
         src = source_opinions(s, config.gamma)
         zeta = build_zeta(a, src.z_M, src.z_Mprime)
-        z = equilibrium_with_media(g, s, a, config.beta, zeta, tol=1e-12)
+        z = equilibrium_with_media(g, s, config.beta, zeta, tol=1e-12)
         b = sum_bounds(g, s, config)
         assert b.lower - 1e-8 <= z.sum() <= b.upper + 1e-8, seed
 
@@ -245,7 +235,7 @@ def test_sum_bounds_exact_on_regular_matches_measured():
     assert a.count_M == 27
     src = source_opinions(s, config.gamma)
     zeta = build_zeta(a, src.z_M, src.z_Mprime)
-    z = equilibrium_with_media(g, s, a, config.beta, zeta, tol=1e-13)
+    z = equilibrium_with_media(g, s, config.beta, zeta, tol=1e-13)
     b = sum_bounds(g, s, config)
     assert z.sum() == pytest.approx(b.exact_if_regular, abs=1e-9)
 
@@ -296,7 +286,7 @@ def test_truncated_regular_sum_matches_measured():
     assert src.truncated and src.z_M == 1.0
     a = assign_media(g, 0.6, seed=8)
     zeta = build_zeta(a, src.z_M, src.z_Mprime)
-    z = equilibrium_with_media(g, s, a, config.beta, zeta, tol=1e-13)
+    z = equilibrium_with_media(g, s, config.beta, zeta, tol=1e-13)
     want = truncated_regular_sum(44.0, 45, float(s.sum()), config)
     assert z.sum() == pytest.approx(want, abs=1e-9)
 
@@ -325,6 +315,6 @@ def test_truncated_lower_bound_holds_on_measured_instance():
     src = source_opinions(s, config.gamma)
     a = assign_media(g, 0.6, seed=8)
     zeta = build_zeta(a, src.z_M, src.z_Mprime)
-    z = equilibrium_with_media(g, s, a, config.beta, zeta, tol=1e-13)
+    z = equilibrium_with_media(g, s, config.beta, zeta, tol=1e-13)
     assert z.sum() > truncated_lower_bound(float(s.sum()), config.alpha,
                                            config.gamma)

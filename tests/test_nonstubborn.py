@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from fjmedia import (AugmentedInstance, Graph, MediaConfig,
-                     augment_with_source, gen_barabasi_albert,
+from fjmedia import (Graph, MediaConfig, gen_barabasi_albert,
                      gen_random_regular, nonstubborn_equilibrium)
-from oracles import fj_matrix
+from oracles import adjacency, fj_matrix
 from oracles import solve as dense_solve
 
 
@@ -18,53 +17,53 @@ def complete_graph(n):
         n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
 
 
+def augmented_oracle(g, s, config):
+    """Dense FJ solve on the base graph plus a source node n attached to
+    every node i with weight beta * (1 + d_i); returns (z, z_M*)."""
+    n = g.n
+    d = adjacency(g).sum(axis=1)
+    s_M = min((1.0 + config.gamma) * float(np.mean(s)), 1.0)
+    aug = Graph.from_edges(n + 1, list(g.edges) + [
+        (i, n, config.beta * (1.0 + d[i])) for i in range(n)
+        if config.beta > 0.0])
+    want = dense_solve(fj_matrix(aug), np.append(s, s_M))
+    return want[:n], want[n]
+
+
 # ---------------------------------------------------------------------------
-# instance construction
+# the augmented graph
 
 
 def test_augmented_weights_follow_degree():
+    # path 0-1-2 with beta = 0.5: source node 3 hangs on edges of weight
+    # 1.0, 1.5, 1.0
     g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    inst = augment_with_source(g, beta=0.5, s_M=0.7)
-    assert np.allclose(inst.media_edge_weights, [1.0, 1.5, 1.0])
-    aug = inst.build_graph()
-    assert aug.n == 4
-    assert aug.m == g.m + 3
-    # source is node 3, attached to everyone
-    assert [v for v, _ in aug.neighbors(3)] == [0, 1, 2]
+    s = np.array([0.2, 0.5, 0.8])
+    z, z_M = nonstubborn_equilibrium(g, s, MediaConfig(1.0, 0.5, 0.4),
+                                     tol=1e-13)
+    aug = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0),
+                               (1, 3, 1.5), (2, 3, 1.0)])
+    want = dense_solve(fj_matrix(aug), [0.2, 0.5, 0.8, 0.7])
+    assert np.max(np.abs(np.append(z, z_M) - want)) <= 1e-10
 
 
 def test_isolated_node_still_hears_the_source():
-    # degree 0: media edge weight beta * (1 + 0) = beta, not dropped
-    g = single_node_graph()
-    inst = augment_with_source(g, beta=1.0, s_M=0.55)
-    assert np.allclose(inst.media_edge_weights, [1.0])
-    assert inst.build_graph().m == 1
+    # degree 0: media edge weight beta * (1 + 0) = beta, not dropped, so
+    # node and source meet at (2 * 0.2 + 0.3) / 3 and (0.2 + 2 * 0.3) / 3
+    z, z_M = nonstubborn_equilibrium(single_node_graph(), np.array([0.2]),
+                                     MediaConfig(1.0, 1.0, 0.5), tol=1e-13)
+    assert z[0] == pytest.approx(0.7 / 3.0, abs=1e-10)
+    assert z_M == pytest.approx(0.8 / 3.0, abs=1e-10)
 
 
 def test_beta_zero_detaches_the_source():
     g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    inst = augment_with_source(g, beta=0.0, s_M=0.5)
-    aug = inst.build_graph()
-    assert aug.n == 4
-    assert aug.m == g.m  # no media edges at all
     s = np.array([0.2, 0.5, 0.8])
     z, z_M = nonstubborn_equilibrium(g, s, MediaConfig(1.0, 0.0, 0.1))
     # detached source keeps its innate opinion, nodes solve plain FJ
     assert z_M == pytest.approx(1.1 * 0.5, rel=1e-12)
     want = dense_solve(fj_matrix(g), s)
     assert np.max(np.abs(z - want)) <= 1e-9
-
-
-def test_instance_validation():
-    g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    with pytest.raises(ValueError):
-        AugmentedInstance(base=g, media_edge_weights=np.ones(2), s_M=0.5)
-    with pytest.raises(ValueError):
-        AugmentedInstance(base=g, media_edge_weights=-np.ones(3), s_M=0.5)
-    with pytest.raises(ValueError):
-        augment_with_source(g, beta=-1.0, s_M=0.5)
-    with pytest.raises(ValueError):
-        augment_with_source(g, beta=0.5, s_M=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +122,8 @@ def test_matches_dense_oracle_on_augmented_graph():
         s = rng.uniform(0.0, 0.8, g.n)
         config = MediaConfig(1.0, 0.4, 0.05)
         z, z_M = nonstubborn_equilibrium(g, s, config, tol=1e-12)
-        s_M = min((1.0 + config.gamma) * s.mean(), 1.0)
-        aug = augment_with_source(g, config.beta, s_M).build_graph()
-        want = dense_solve(fj_matrix(aug), np.concatenate([s, [s_M]]))
-        assert np.max(np.abs(np.concatenate([z, [z_M]]) - want)) <= 1e-8
+        want_z, want_M = augmented_oracle(g, s, config)
+        assert np.max(np.abs(np.append(z, z_M) - np.append(want_z, want_M))) <= 1e-8
 
 
 def test_source_innate_caps_at_one():

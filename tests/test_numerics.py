@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fjmedia import (ConvergenceError, DiagPlusLaplacianOperator, Graph,
-                     SolveReport, fixed_point_iterate, gen_barabasi_albert,
+                     SolveReport, gen_barabasi_albert,
                      gen_random_regular, solve_spd)
 from oracles import laplacian as dense_laplacian
 from oracles import solve as dense_solve
@@ -142,29 +142,6 @@ def test_row_sum_bounds_of_inverse():
             assert lo - 1e-10 <= y_j <= hi + 1e-10, (seed, j)
             if regular:
                 assert abs(y_j - lo) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# fixed-point iteration
-
-
-def test_fixed_point_identity_stops_immediately():
-    rep = fixed_point_iterate(lambda x: x, np.array([1.0, 2.0]))
-    assert rep.iterations == 1
-    assert rep.residual == 0.0
-
-
-def test_fixed_point_halving():
-    rep = fixed_point_iterate(lambda x: x / 2.0, np.array([1.0]), tol=1e-10)
-    assert abs(rep.solution[0]) <= 2e-10
-    # change at step k is 2^-k, first <= 1e-10 at k = 34
-    assert rep.iterations == 34
-
-
-def test_fixed_point_divergence_raises():
-    with pytest.raises(ConvergenceError):
-        fixed_point_iterate(lambda x: x + 1.0, np.zeros(2), tol=1e-10,
-                            max_iter=50)
 
 
 def test_solve_report_solution_read_only():

@@ -21,15 +21,22 @@ def path3():
 def half_assignment(n):
     mask = np.zeros(n, dtype=bool)
     mask[: n // 2] = True
-    return MediaAssignment(attached_to_M=mask, count_M=n // 2)
+    return MediaAssignment(mask)
 
 
 def all_to_M(n):
-    return MediaAssignment(attached_to_M=np.ones(n, dtype=bool), count_M=n)
+    return MediaAssignment(np.ones(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
 # stop criteria
+
+
+def test_default_epsilon_must_sit_below_up_threshold():
+    with pytest.raises(ValueError, match=r"10/n = 0\.909091 .* 0\.909091"):
+        StopCriteria.for_run(gamma=0.1, n=11)
+    assert StopCriteria.for_run(gamma=0.1, n=12).epsilon == 10.0 / 12
+    assert StopCriteria.for_run(gamma=0.1, n=11, epsilon=0.05).epsilon == 0.05
 
 
 def test_stop_criteria_for_run_defaults():
@@ -131,7 +138,7 @@ def test_radicalizes_down_with_alpha_zero():
     g = gen_random_regular(20, 4, seed=3)
     config = MediaConfig(alpha=0.0, beta=1.0, gamma=0.3)
     mask = np.zeros(20, dtype=bool)
-    a = MediaAssignment(attached_to_M=mask, count_M=0)
+    a = MediaAssignment(mask)
     stop = StopCriteria.for_run(config.gamma, 20, max_periods=100)
     traj = run_periods(g, np.full(20, 0.6), config, a, stop)
     assert traj.stop_cause == "radicalized_down"
@@ -259,8 +266,7 @@ def test_truncated_period_keeps_mean_above_floor():
     g = gen_random_regular(20, 4, seed=7)
     s0 = np.full(20, 0.95)
     config = MediaConfig(alpha=0.6, beta=0.5, gamma=0.1)
-    a = MediaAssignment(
-        attached_to_M=np.arange(20) < 12, count_M=12)
+    a = MediaAssignment(np.arange(20) < 12)
     stop = StopCriteria(up_threshold=1.0, epsilon=0.01, max_periods=3,
                         fixed_point_tol=None)
     traj = run_periods(g, s0, config, a, stop, tol=1e-12)
