@@ -5,8 +5,8 @@ precomputed weighted degree vector.  Nothing here ever materialises an n x n
 matrix: ``laplacian_apply`` and ``neighbor_sum`` scatter over the edge arrays,
 which is all the solvers need.
 
-Node ids are dense 0..n-1.  ``load_edge_list`` remaps arbitrary integer ids by
-first appearance, so external files keep their own labelling.
+Node ids are dense 0..n-1.  Only ``Graph`` knows the edge rules; ``load_edge_list``
+parses text, remaps ids by first appearance and names a rejected edge's line.
 """
 
 from __future__ import annotations
@@ -81,17 +81,14 @@ class Graph:
         if not (u.shape == v.shape == w.shape):
             raise ValueError("edge arrays must have identical length")
         if u.size:
-            if u.min() < 0 or max(u.max(), v.max()) >= self.n:
-                raise ValueError("edge endpoint out of range")
-            if np.any(u == v):
-                raise ValueError("self-loops are not allowed")
-            if np.any(~np.isfinite(w)) or np.any(w <= 0):
-                raise ValueError("edge weights must be positive and finite")
+            valid = (min(u.min(), v.min()) >= 0 and max(u.max(), v.max()) < self.n
+                     and not np.any(u == v)
+                     and not (np.any(~np.isfinite(w)) or np.any(w <= 0)))
             lo = np.minimum(u, v)
             hi = np.maximum(u, v)
             keys = lo * np.int64(self.n) + hi
-            if np.unique(keys).size != keys.size:
-                raise ValueError("duplicate edges are not allowed")
+            if not valid or np.unique(keys).size != keys.size:
+                raise _first_bad_edge(self.n, u, v, w)
             u, v = lo, hi
         deg = np.bincount(u, weights=w, minlength=self.n) + np.bincount(
             v, weights=w, minlength=self.n
@@ -105,11 +102,7 @@ class Graph:
         """Build from an iterable of ``(u, v)`` or ``(u, v, w)`` tuples."""
         us, vs, ws = [], [], []
         for e in edges:
-            if len(e) == 2:
-                a, b = e
-                c = 1.0
-            else:
-                a, b, c = e
+            a, b, c = e if len(e) == 3 else (*e, 1.0)
             us.append(a)
             vs.append(b)
             ws.append(c)
@@ -161,6 +154,27 @@ class Graph:
         )
 
 
+class _EdgeError(ValueError):
+    """An edge breaking a rule: ``index`` is its input position, ``reason`` the rule."""
+
+
+def _first_bad_edge(n: int, u, v, w) -> _EdgeError:
+    # runs only once validation failed: the earliest edge that breaks any rule
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    out = (lo < 0) | (hi >= n)
+    bad_w = ~(np.isfinite(w) & (w > 0))
+    keys = np.where(out, -1 - np.arange(u.size), lo * np.int64(n) + hi)
+    dup = ~np.isin(np.arange(u.size), np.unique(keys, return_index=True)[1])
+    k = int(np.argmax(out | (u == v) | bad_w | dup))
+    reason = ("endpoint out of range in edge" if out[k] else
+              "self-loop" if u[k] == v[k] else
+              f"weight {w[k]:g} is not positive and finite on edge" if bad_w[k] else
+              "duplicate edge")
+    err = _EdgeError(f"{reason} {u[k]}-{v[k]} at edge index {k}")
+    err.index, err.reason = k, reason
+    return err
+
+
 def neighbor_sum(graph: Graph, x: np.ndarray) -> np.ndarray:
     """Weighted neighbor sums ``(W x)_i = sum_j w_ij x_j``, matrix-free."""
     x = np.asarray(x, dtype=np.float64)
@@ -193,55 +207,41 @@ def load_edge_list(path) -> Graph:
     """Read a whitespace-separated edge list.
 
     Lines are ``u v`` (weight 1.0) or ``u v w``; ``#`` starts a comment line
-    and blank lines are skipped.  Ids are arbitrary non-negative integers and
-    get remapped to 0..n-1 by first appearance.  Self-loops, duplicate pairs
-    (in either orientation), non-positive weights and unparsable tokens are
-    rejected with the offending line number.
+    and blank lines are skipped.  Ids are non-negative integers of any size,
+    remapped to 0..n-1 by first appearance.  A malformed line is rejected as it
+    is read; the edge rules ``Graph`` checks on the whole edge set then name
+    the earliest offending line and its original ids.
     """
     ids: dict[int, int] = {}
-    seen: set[tuple[int, int]] = set()
-    us, vs, ws = [], [], []
+    us, vs, ws, lines = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
             if len(parts) not in (2, 3):
-                raise ValueError(f"line {lineno}: expected 'u v' or 'u v w', got {line!r}")
+                raise ValueError(f"line {lineno}: expected 'u v' or 'u v w', got {raw.strip()!r}")
             try:
-                a = int(parts[0])
-                b = int(parts[1])
+                a, b = int(parts[0]), int(parts[1])
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: unparsable node id in {line!r}") from exc
+                raise ValueError(f"line {lineno}: unparsable node id in {raw.strip()!r}") from exc
             if a < 0 or b < 0:
                 raise ValueError(f"line {lineno}: node ids must be non-negative")
-            if len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: unparsable weight in {line!r}") from exc
-            else:
-                w = 1.0
-            if not np.isfinite(w) or w <= 0:
-                raise ValueError(f"line {lineno}: weight must be positive and finite")
-            if a == b:
-                raise ValueError(f"line {lineno}: self-loop {a}-{b}")
-            for node in (a, b):
-                if node not in ids:
-                    ids[node] = len(ids)
-            i, j = ids[a], ids[b]
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"line {lineno}: duplicate edge {a}-{b}")
-            seen.add(key)
-            us.append(i)
-            vs.append(j)
-            ws.append(w)
+            try:
+                ws.append(float(parts[2]) if len(parts) == 3 else 1.0)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: unparsable weight in {raw.strip()!r}") from exc
+            us.append(ids.setdefault(a, len(ids)))
+            vs.append(ids.setdefault(b, len(ids)))
+            lines.append(lineno)
     if not ids:
         raise ValueError("edge list contains no edges")
-    return Graph(len(ids), np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
-                 np.array(ws, dtype=np.float64))
+    try:
+        return Graph(len(ids), np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
+                     np.array(ws, dtype=np.float64))
+    except _EdgeError as exc:
+        k, label = exc.index, list(ids)  # label[i]: the file's id of node i
+        raise ValueError(f"line {lines[k]}: {exc.reason} {label[us[k]]}-{label[vs[k]]}") from None
 
 
 def write_edge_list(graph: Graph, path, comment: str | None = None) -> None:

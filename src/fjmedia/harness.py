@@ -74,7 +74,10 @@ class GraphSpec:
 
     def build(self, seed: int) -> Graph:
         if self.kind == "file":
-            return load_edge_list(self.path)
+            try:
+                return load_edge_list(self.path)
+            except ValueError as exc:  # OSError text already names the file
+                raise ValueError(f"{self.path}: {exc}") from exc
         if self.kind == "ba":
             return gen_barabasi_albert(self.n, self.m, seed)
         return gen_random_regular(self.n, self.d, seed)
@@ -197,8 +200,10 @@ def run_experiment(config: ExperimentConfig):
         manifest.add("max_periods", config.max_periods)
         manifest.add("fixed_point_tol", config.fixed_point_tol)
 
+    # a file graph ignores the seed: load it once, before any repetition
+    file_graph = config.graph.build(0) if config.graph.kind == "file" else None
+
     rows: list[dict] = []
-    cached_file_graph: Graph | None = None
     stop = None
     rep_entries: list[tuple[str, str]] = []
 
@@ -206,12 +211,7 @@ def run_experiment(config: ExperimentConfig):
         rep_seed = config.base_seed + i
         graph_seed, innate_seed, assign_seed = _rep_streams(rep_seed)
         try:
-            if config.graph.kind == "file":
-                if cached_file_graph is None:
-                    cached_file_graph = config.graph.build(graph_seed)
-                graph = cached_file_graph
-            else:
-                graph = config.graph.build(graph_seed)
+            graph = file_graph or config.graph.build(graph_seed)
             s = sample_innate(graph.n, config.innate_mu, config.innate_sigma,
                               innate_seed)
             assignment = assign_media(graph, config.alpha, assign_seed)
@@ -228,8 +228,8 @@ def run_experiment(config: ExperimentConfig):
         except ConvergenceError as exc:
             raise ConvergenceError(f"repetition {i}: {exc}", exc.iterations,
                                    exc.residual) from exc
-        except (ValueError, OSError) as exc:
-            raise type(exc)(f"repetition {i}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"repetition {i}: {exc}") from exc
 
         st = graph.stats
         pre = f"rep{i}"

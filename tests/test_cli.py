@@ -137,7 +137,19 @@ def test_unreadable_graph_file(capsys):
     code, _, err = run_cli(
         capsys, "equilibrium", "--graph", "/no/such/file.edges",
         "--alpha", "1.0", "--beta", "0.5", "--gamma", "0.1")
-    assert code == 2 and "error:" in err
+    assert code == 2 and "error:" in err and "/no/such/file.edges" in err
+    assert "repetition" not in err
+
+
+def test_bad_graph_file_names_the_file_and_line(tmp_path, capsys):
+    path = tmp_path / "loop.edges"
+    path.write_text("0 1\n1 1\n", encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "periods", "--graph", str(path),
+        "--alpha", "1.0", "--beta", "0.5", "--gamma", "0.1", "--reps", "2")
+    assert code == 2
+    assert str(path) in err and "line 2" in err and "self-loop" in err
+    assert "repetition" not in err
 
 
 def test_odd_degree_sum_reports_error(capsys):

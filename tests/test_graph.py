@@ -54,8 +54,20 @@ def test_rejects_bad_weight():
 
 
 def test_rejects_out_of_range_endpoint():
-    with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 2, 1.0)])
+    for edge in ((0, 2, 1.0), (1, -1, 1.0)):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_edges(2, [edge])
+
+
+def test_error_names_the_earliest_bad_edge():
+    cases = [
+        ([(0, 1), (2, 2), (1, 0)], "self-loop 2-2 at edge index 1"),
+        ([(0, 1), (1, 0), (2, 2)], "duplicate edge 1-0 at edge index 1"),
+        ([(0, 1), (2, 3, 0.0), (0, 9)], "weight 0 .* 2-3 at edge index 1"),
+    ]
+    for edges, pattern in cases:
+        with pytest.raises(ValueError, match=pattern):
+            Graph.from_edges(4, edges)
 
 
 def test_arrays_read_only():

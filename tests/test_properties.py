@@ -1,8 +1,10 @@
-"""Property tests: node labels carry no meaning.
+"""Property tests: node labels carry no meaning, and files round-trip.
 
 Relabelling the nodes of an instance by a permutation must permute every
 per-node output the same way and leave every aggregate (opinion sums, sum
-bounds, the non-stubborn source's opinion) unchanged.
+bounds, the non-stubborn source's opinion) unchanged.  An edge-list file must
+load back to the graph it describes, and a defect in it must be reported at
+its physical line.
 """
 
 import numpy as np
@@ -11,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fjmedia import (Graph, MediaAssignment, MediaConfig, build_zeta,
-                     equilibrium_with_media, nonstubborn_equilibrium,
-                     source_opinions, sum_bounds)
+                     equilibrium_with_media, load_edge_list,
+                     nonstubborn_equilibrium, source_opinions, sum_bounds,
+                     write_edge_list)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -83,3 +86,130 @@ def test_nonstubborn_equilibrium_commutes_with_relabelling(inst, beta, gamma):
     assert np.max(np.abs(z2 - moved(z, perm))) <= 1e-9
     assert z2_M == pytest.approx(z_M, abs=1e-9)
     assert float(z2.sum()) == pytest.approx(float(z.sum()), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# edge-list files
+
+weight = st.floats(1e-3, 1e3)
+file_id = st.integers(0, 2**70)  # ids of any size, well past int64
+
+
+@pytest.fixture(scope="module")
+def edge_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("edges") / "g.edges"
+
+
+@st.composite
+def simple_edges(draw):
+    """Distinct unordered pairs on 0..n-1 in random order, with weights."""
+    n = draw(st.integers(2, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return [(i, j, draw(weight)) for i, j in chosen]
+
+
+@st.composite
+def connected_in_order(draw):
+    """A simple graph whose nodes first appear in id order: a tree grown node by
+    node, then extra edges among nodes already seen."""
+    n = draw(st.integers(2, 12))
+    edges = [(draw(st.integers(0, k - 1)), k, draw(weight)) for k in range(1, n)]
+    tree = {(a, b) for a, b, _ in edges}
+    extra = [p for p in ((i, j) for i in range(n) for j in range(i + 1, n))
+             if p not in tree]
+    if extra:
+        edges += [(i, j, draw(weight)) for i, j in draw(st.lists(
+            st.sampled_from(extra), unique=True))]
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def edge_file_lines(draw, edges):
+    """``edges`` as file lines under fresh ids, in random orientation, with
+    2- and 3-column rows and comment and blank lines mixed in."""
+    n = 1 + max(max(a, b) for a, b, _ in edges)
+    label = draw(st.lists(file_id, min_size=n, max_size=n, unique=True))
+    lines = []
+    for a, b, w in edges:
+        lines += draw(st.lists(st.sampled_from(["# note", "", "   ", "#"]),
+                               max_size=2))
+        if draw(st.booleans()):
+            a, b = b, a
+        a, b = label[a], label[b]
+        lines.append(f"{a} {b}" if w == 1.0 else f"{a}\t{b} {w!r}")
+    return lines
+
+
+def write_lines(path, lines, crlf):
+    path.write_bytes(("\r\n" if crlf else "\n").join(lines + [""]).encode())
+
+
+def is_data(line):
+    parts = line.split()
+    return bool(parts) and not parts[0].startswith("#")
+
+
+@SETTINGS
+@given(connected_in_order())
+def test_write_then_load_returns_the_graph(edge_file, g):
+    write_edge_list(g, edge_file, comment="round trip")
+    g2 = load_edge_list(edge_file)
+    assert g2.n == g.n
+    assert g2.edges == g.edges
+    assert np.array_equal(g2.degree, g.degree)
+
+
+@SETTINGS
+@given(st.data(), simple_edges(), st.booleans())
+def test_load_remaps_any_ids_by_first_appearance(edge_file, data, edges, crlf):
+    edges = [(a, b, 1.0 if k % 3 == 0 else w) for k, (a, b, w) in enumerate(edges)]
+    lines = data.draw(edge_file_lines(edges))
+    write_lines(edge_file, lines, crlf)
+
+    ids, expected = {}, []
+    for parts in (line.split() for line in lines if is_data(line)):
+        i, j = (ids.setdefault(int(t), len(ids)) for t in parts[:2])
+        expected.append((min(i, j), max(i, j), float(parts[2]) if len(parts) == 3 else 1.0))
+    degree = np.zeros(len(ids))
+    for i, j, w in expected:
+        degree[i] += w
+        degree[j] += w
+
+    g = load_edge_list(edge_file)
+    assert g.n == len(ids)
+    assert g.edges == expected
+    assert g.degree == pytest.approx(degree, rel=1e-12)
+
+
+# each defect as a line over two fresh file ids a, b
+DEFECTS = {
+    "self-loop": "{a} {a}",
+    "weight 0": "{a} {b} 0",
+    "weight -1": "{a} {b} -1",
+    "weight nan": "{a} {b} nan",
+    "weight inf": "{a} {b} inf",
+    "4 tokens": "{a} {b} 1.0 7",
+    "non-integer id": "{a} {b}.5",
+    "negative id": "{a} -{b}",
+    "reversed duplicate": None,  # repeats an edge above it, ends swapped
+}
+
+
+@SETTINGS
+@given(st.data(), simple_edges(), st.sampled_from(list(DEFECTS)), st.booleans())
+def test_load_error_names_the_defect_line(edge_file, data, edges, defect, crlf):
+    lines = data.draw(edge_file_lines(edges))
+    rows = [k for k, line in enumerate(lines) if is_data(line)]
+    if DEFECTS[defect] is None:
+        at = data.draw(st.integers(rows[0] + 1, len(lines)))
+        a, b = lines[data.draw(st.sampled_from([r for r in rows if r < at]))].split()[:2]
+        bad = f"{b} {a}"
+    else:
+        at = data.draw(st.integers(0, len(lines)))
+        bad = DEFECTS[defect].format(a=data.draw(file_id), b=data.draw(file_id) + 1)
+    lines.insert(at, bad)
+    write_lines(edge_file, lines, crlf)
+
+    with pytest.raises(ValueError, match=f"^line {at + 1}: "):
+        load_edge_list(edge_file)
