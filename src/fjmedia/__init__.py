@@ -16,14 +16,14 @@ from .media import (MediaAssignment, MediaConfig, SourceOpinions, SumBounds,
                     source_opinions, sum_bounds, truncated_lower_bound,
                     truncated_regular_sum)
 from .periods import (PeriodRecord, PeriodTrajectory, STOP_CAUSES,
-                      StopCriteria, alpha_half_limit, ell_star,
-                      predicted_ell_star, run_periods)
+                      StopCriteria, alpha_half_limit, analytic_summary,
+                      ell_star, run_periods)
 from .nonstubborn import nonstubborn_equilibrium
 from .harness import (CSV_COLUMNS, ExperimentConfig, GraphSpec, MODES,
                       RunManifest, config_from_manifest, rows_to_csv,
                       run_experiment, sample_innate)
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 __all__ = [
     "Graph", "GraphStats", "gen_barabasi_albert", "gen_random_regular",
@@ -35,7 +35,7 @@ __all__ = [
     "assign_media", "build_zeta", "equilibrium_with_media", "source_opinions",
     "sum_bounds", "truncated_lower_bound", "truncated_regular_sum",
     "PeriodRecord", "PeriodTrajectory", "STOP_CAUSES", "StopCriteria",
-    "alpha_half_limit", "ell_star", "predicted_ell_star", "run_periods",
+    "alpha_half_limit", "analytic_summary", "ell_star", "run_periods",
     "nonstubborn_equilibrium",
     "CSV_COLUMNS", "ExperimentConfig", "GraphSpec", "MODES", "RunManifest",
     "config_from_manifest", "rows_to_csv", "run_experiment", "sample_innate",

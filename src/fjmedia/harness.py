@@ -19,11 +19,10 @@ import numpy as np
 
 from .graph import Graph, gen_barabasi_albert, gen_random_regular, load_edge_list
 from .media import (MediaConfig, assign_media, build_zeta,
-                    equilibrium_with_media, source_opinions, sum_bounds,
-                    truncated_regular_sum)
+                    equilibrium_with_media, source_opinions)
 from .nonstubborn import nonstubborn_equilibrium
 from .numerics import ConvergenceError
-from .periods import StopCriteria, predicted_ell_star, run_periods
+from .periods import StopCriteria, analytic_summary, run_periods
 
 __all__ = [
     "MODES",
@@ -196,15 +195,23 @@ def run_experiment(config: ExperimentConfig):
     manifest.add("repetitions", config.repetitions)
     manifest.add("base_seed", config.base_seed)
     manifest.add("tol", config.tol)
-    if config.mode == "periods":
-        manifest.add("max_periods", config.max_periods)
-        manifest.add("fixed_point_tol", config.fixed_point_tol)
 
     # a file graph ignores the seed: load it once, before any repetition
     file_graph = config.graph.build(0) if config.graph.kind == "file" else None
 
+    if config.mode == "periods":
+        # a generator returns exactly config.graph.n nodes
+        stop = StopCriteria.for_run(
+            config.gamma, file_graph.n if file_graph else config.graph.n,
+            max_periods=config.max_periods, epsilon=config.epsilon,
+            fixed_point_tol=config.fixed_point_tol)
+        for key in ("max_periods", "fixed_point_tol"):
+            manifest.add(key, getattr(config, key))
+        manifest.add("epsilon", stop.epsilon)
+    else:
+        stop = None
+
     rows: list[dict] = []
-    stop = None
     rep_entries: list[tuple[str, str]] = []
 
     for i in range(config.repetitions):
@@ -215,15 +222,6 @@ def run_experiment(config: ExperimentConfig):
             s = sample_innate(graph.n, config.innate_mu, config.innate_sigma,
                               innate_seed)
             assignment = assign_media(graph, config.alpha, assign_seed)
-
-            if config.mode == "periods":
-                stop = StopCriteria.for_run(config.gamma, graph.n,
-                                            max_periods=config.max_periods,
-                                            epsilon=config.epsilon,
-                                            fixed_point_tol=config.fixed_point_tol)
-                if i == 0:
-                    manifest.add("epsilon", stop.epsilon)
-
             rows.extend(_run_one(config, i, graph, s, assignment, stop))
         except ConvergenceError as exc:
             raise ConvergenceError(f"repetition {i}: {exc}", exc.iterations,
@@ -272,25 +270,16 @@ def _run_one(config, rep, graph, s, assignment, stop):
                  "mean_z": float(z.mean()), "s_M": src.z_M, "z_M_star": z_m_star,
                  "bound": bound}]
 
-    # the uncapped bracket, or the capped regular-graph sum where it applies
-    lower = upper = exact = None
-    if not src.truncated:
-        b = sum_bounds(graph, s, media)
-        lower, upper, exact = b.lower, b.upper, b.exact_if_regular
-    elif graph.stats.is_regular:
-        exact = truncated_regular_sum(graph.stats.d_max, graph.n, sum_s, media)
-
+    summary = analytic_summary(graph, s, media, assignment)
     if config.mode == "equilibrium":
         zeta = build_zeta(assignment, src.z_M, src.z_Mprime)
         z = equilibrium_with_media(graph, s, config.beta, zeta, tol=config.tol)
         return [{"rep": rep, "sum_s": sum_s, "sum_z": float(z.sum()),
-                 "lower": lower, "upper": upper, "exact_if_regular": exact,
+                 **{k: summary[k] for k in ("lower", "upper", "exact_if_regular")},
                  "truncated": src.truncated}]
 
     # bounds mode: formulas only, no solve
-    lstar = None if src.truncated else predicted_ell_star(graph, sum_s, media)
-    return [{"rep": rep, "sum_s": sum_s, "lower": lower, "upper": upper,
-             "exact_if_regular": exact, "ell_star": lstar}]
+    return [{"rep": rep, "sum_s": sum_s, **summary}]
 
 
 def rows_to_csv(mode: str, rows: list[dict]) -> str:

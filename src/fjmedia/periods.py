@@ -10,6 +10,7 @@ conserved forever and the opinions converge to a limit profile.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,7 +18,8 @@ import numpy as np
 from .fj import opinion_vector
 from .graph import Graph
 from .media import (MediaAssignment, MediaConfig, build_zeta,
-                    equilibrium_with_media, source_opinions)
+                    equilibrium_with_media, source_opinions, sum_bounds,
+                    truncated_regular_sum)
 from .numerics import ConvergenceError, DiagPlusLaplacianOperator, solve_spd
 
 __all__ = [
@@ -26,7 +28,7 @@ __all__ = [
     "PeriodTrajectory",
     "run_periods",
     "ell_star",
-    "predicted_ell_star",
+    "analytic_summary",
     "alpha_half_limit",
     "STOP_CAUSES",
 ]
@@ -96,7 +98,7 @@ class PeriodRecord:
 class PeriodTrajectory:
     records: list[PeriodRecord] = field(default_factory=list)
     stop_cause: str = ""
-    ell_star_predicted: float | None = None
+    ell_star_predicted: float | None = None  # analytic_summary's ell_star
     final_state: np.ndarray | None = None  # per-node opinions at stop time
 
     @property
@@ -130,12 +132,8 @@ def run_periods(graph: Graph, s0: np.ndarray, config: MediaConfig,
     The trajectory keeps the last equilibrium as ``final_state``.
     """
     s = opinion_vector(s0, graph.n)
-    if assignment.n != graph.n:
-        raise ValueError("assignment size does not match graph")
-
-    traj = PeriodTrajectory()
-    realized = replace(config, alpha=assignment.count_M / graph.n)
-    traj.ell_star_predicted = predicted_ell_star(graph, float(s.sum()), realized)
+    traj = PeriodTrajectory(
+        ell_star_predicted=analytic_summary(graph, s, config, assignment)["ell_star"])
 
     src = source_opinions(s, config.gamma)
     traj.records.append(PeriodRecord(0, float(s.sum()), float(s.mean()),
@@ -178,37 +176,49 @@ def ell_star(n: int, sum_s0: float, d: float, config: MediaConfig) -> float:
         ell* = log(n / (sum_s0 (1+gamma)))
                / log(1 + gamma (d+1) beta (2 alpha - 1) / ((d+1) beta + 1))
 
-    Returns 0 when the start already sits on the ceiling.  alpha <= 1/2 has
-    no finite crossing and is rejected, as are sum_s0 <= 0 or a start already
-    past the ceiling.
+    Returns 0 when the start already sits on the ceiling.  Rejects alpha <=
+    1/2, a growth factor F that rounds to 1 (no finite crossing), sum_s0 <= 0,
+    and a start already past the ceiling.
     """
     if config.alpha <= 0.5:
         raise ValueError("ell_star needs alpha > 1/2 (no growth otherwise)")
-    if config.beta <= 0.0 or config.gamma <= 0.0:
-        raise ValueError("ell_star needs beta > 0 and gamma > 0")
+    b = (d + 1.0) * config.beta
+    growth = 1.0 + config.gamma * b * (2.0 * config.alpha - 1.0) / (b + 1.0)
+    if growth <= 1.0:  # beta or gamma is 0, or the rise is below float resolution
+        raise ValueError("ell_star needs beta > 0, gamma > 0 and a growth factor > 1")
     if sum_s0 <= 0.0:
         raise ValueError("ell_star needs sum_s0 > 0")
     if (1.0 + config.gamma) * sum_s0 / n > 1.0:
         raise ValueError("start is already truncated")
-    b = (d + 1.0) * config.beta
-    growth = 1.0 + config.gamma * b * (2.0 * config.alpha - 1.0) / (b + 1.0)
     return math.log(n / (sum_s0 * (1.0 + config.gamma))) / math.log(growth)
 
 
-def predicted_ell_star(graph: Graph, sum_s0: float,
-                       config: MediaConfig) -> float | None:
-    """:func:`ell_star` on ``graph`` where its closed form applies, else None.
+def analytic_summary(graph: Graph, s: np.ndarray, config: MediaConfig,
+                     assignment: MediaAssignment) -> dict[str, float | None]:
+    """The closed forms for one period from ``s``, keyed by CSV column.
 
-    It applies on a regular graph inside the domain :func:`ell_star` checks.
-    The caller picks the alpha: the period protocol passes the realized
-    attachment fraction, the bounds mode the nominal one.
+    ``lower``, ``upper``, ``exact_if_regular`` and ``ell_star`` (None where a
+    form does not apply) read alpha as the realized ``count_M / n`` the solve
+    sees, not ``config.alpha``.  Uncapped z_M: the :func:`sum_bounds` bracket,
+    plus :func:`ell_star` on a regular graph inside the domain it checks.
+    Capped z_M: :func:`truncated_regular_sum` on a regular graph only.
     """
-    if not graph.stats.is_regular:
-        return None
-    try:
-        return ell_star(graph.n, sum_s0, graph.stats.d_max, config)
-    except ValueError:  # outside the domain of the closed form
-        return None
+    s = opinion_vector(s, graph.n)
+    if assignment.n != graph.n:
+        raise ValueError("assignment size does not match graph")
+    realized = replace(config, alpha=assignment.count_M / graph.n)
+    n, d, sum_s = graph.n, graph.stats.d_max, float(s.sum())
+    out = dict.fromkeys(("lower", "upper", "exact_if_regular", "ell_star"))
+    if source_opinions(s, config.gamma).truncated:
+        if graph.stats.is_regular:
+            out["exact_if_regular"] = truncated_regular_sum(d, n, sum_s, realized)
+        return out
+    b = sum_bounds(graph, s, realized)
+    out.update(lower=b.lower, upper=b.upper, exact_if_regular=b.exact_if_regular)
+    if graph.stats.is_regular:
+        with suppress(ValueError):  # outside the domain of the closed form
+            out["ell_star"] = ell_star(n, sum_s, d, realized)
+    return out
 
 
 def alpha_half_limit(graph: Graph, beta: float, zeta0: np.ndarray,

@@ -1,3 +1,5 @@
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +99,25 @@ def test_bounds_run_prints_ell_star(capsys):
     assert "ell_star=" in stdout
 
 
+def test_bounds_ell_star_predicts_periods_at_non_integral_alpha_n(tmp_path, capsys):
+    # alpha * n = 22.55 rounds to 23 followers of M; the closed forms must
+    # read the realized 23/41, as the solve does, not the nominal 0.55
+    flags = ["--gen", "dreg", "--n", "41", "--d", "4", "--alpha", "0.55",
+             "--beta", "0.5", "--gamma", "0.05", "--reps", "2", "--seed", "3"]
+    bounds, periods = tmp_path / "b.csv", tmp_path / "p.csv"
+    assert run_cli(capsys, "bounds", *flags, "--out", str(bounds))[0] == 0
+    assert run_cli(capsys, "periods", *flags, "--max-periods", "5000",
+                   "--out", str(periods))[0] == 0
+    with bounds.open() as fh:
+        ell = {row["rep"]: float(row["ell_star"]) for row in csv.DictReader(fh)}
+    with periods.open() as fh:
+        last = {row["rep"]: row for row in csv.DictReader(fh)}  # rows in order
+    assert sorted(ell) == sorted(last) == ["0", "1"]
+    for rep, row in last.items():
+        assert row["stop_cause"] == "radicalized_up"
+        assert int(row["period"]) - math.ceil(ell[rep]) in (0, 1), (rep, ell[rep])
+
+
 def test_run_from_file_graph(tmp_path, capsys):
     path = tmp_path / "net.edges"
     run_cli(capsys, "generate", "--gen", "dreg", "--n", "16", "--d", "4",
@@ -174,6 +195,7 @@ def test_small_n_periods_asks_for_epsilon(tmp_path, capsys, n):
             "--beta", "0.1", "--gamma", "0.1", "--reps", "2", "--out", str(out)]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and "--epsilon" in err and "10/n" in err
+    assert "repetition" not in err
     assert not out.exists()
     code, _, err = run_cli(capsys, *argv, "--epsilon", "0.05")
     assert code == 0 and err == ""

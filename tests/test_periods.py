@@ -217,6 +217,9 @@ def test_ell_star_rejections():
     with pytest.raises(ValueError):
         ell_star(100, 50.0, 4, MediaConfig(alpha=1.0, beta=0.5, gamma=0.0))
     with pytest.raises(ValueError):
+        # F = 1 + 5e-20 rounds to 1: no finite crossing, not a division by 0
+        ell_star(100, 50.0, 4, MediaConfig(alpha=1.0, beta=1e-10, gamma=1e-10))
+    with pytest.raises(ValueError):
         ell_star(100, 0.0, 4, MediaConfig(alpha=1.0, beta=0.5, gamma=0.1))
     with pytest.raises(ValueError):
         # (1+gamma) * 90 / 100 > 1: already truncated

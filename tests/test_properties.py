@@ -1,10 +1,13 @@
-"""Property tests: node labels carry no meaning, and files round-trip.
+"""Property tests: node labels carry no meaning, files round-trip, and the
+closed forms and monotonicity hold on arbitrary instances.
 
 Relabelling the nodes of an instance by a permutation must permute every
 per-node output the same way and leave every aggregate (opinion sums, sum
 bounds, the non-stubborn source's opinion) unchanged.  An edge-list file must
 load back to the graph it describes, and a defect in it must be reported at
-its physical line.
+its physical line.  The closed-form columns of an equilibrium row must hold
+against its solved sum at any alpha, and moving nodes from M' to M must never
+lower an equilibrium opinion.
 """
 
 import numpy as np
@@ -12,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fjmedia import (Graph, MediaAssignment, MediaConfig, build_zeta,
-                     equilibrium_with_media, load_edge_list,
-                     nonstubborn_equilibrium, source_opinions, sum_bounds,
-                     write_edge_list)
+from fjmedia import (ExperimentConfig, Graph, GraphSpec, MediaAssignment,
+                     MediaConfig, build_zeta, equilibrium_with_media,
+                     gen_barabasi_albert, gen_random_regular, load_edge_list,
+                     nonstubborn_equilibrium, run_experiment, source_opinions,
+                     sum_bounds, write_edge_list)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -213,3 +217,54 @@ def test_load_error_names_the_defect_line(edge_file, data, edges, defect, crlf):
 
     with pytest.raises(ValueError, match=f"^line {at + 1}: "):
         load_edge_list(edge_file)
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the solve, at any alpha
+
+
+@st.composite
+def generated_specs(draw):
+    """A small d-regular or Barabasi-Albert spec; alpha * n need not be integral."""
+    n = draw(st.integers(4, 40))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, min(6, n - 1)))
+        return GraphSpec(kind="dreg", n=n + (n * d) % 2, d=d)
+    return GraphSpec(kind="ba", n=n, m=draw(st.integers(1, 3)))
+
+
+@SETTINGS
+@given(generated_specs(), unit, unit, unit, unit, st.integers(0, 2**31))
+def test_equilibrium_rows_respect_their_closed_forms(spec, alpha, beta, gamma,
+                                                     mu, seed):
+    config = ExperimentConfig(mode="equilibrium", graph=spec, alpha=alpha,
+                              beta=beta, gamma=gamma, innate_mu=mu,
+                              repetitions=1, base_seed=seed)
+    _, (row,) = run_experiment(config)
+    sum_z = row["sum_z"]
+    if row["lower"] is not None:
+        assert row["lower"] - 1e-8 <= sum_z <= row["upper"] + 1e-8
+    if row["exact_if_regular"] is not None:
+        assert abs(row["exact_if_regular"] - sum_z) <= 1e-8 * spec.n
+
+
+# ---------------------------------------------------------------------------
+# monotonicity in the attachment to M
+
+
+@SETTINGS
+@given(st.sampled_from(["ba", "dreg"]), st.integers(4, 40),
+       st.integers(0, 2**31), st.floats(0.0, 2.0), unit)
+def test_more_followers_of_M_never_lower_an_opinion(kind, n, seed, beta, gamma):
+    # z = A^-1 (s + beta (I+D) zeta) with A^-1 >= 0 entrywise, and moving a
+    # node from M' to M raises its zeta entry from z_M' to z_M >= z_M'
+    rng = np.random.default_rng(seed)
+    g = (gen_barabasi_albert(n, int(rng.integers(1, 4)), seed=seed) if kind == "ba"
+         else gen_random_regular(n - n % 2, int(rng.integers(1, 4)), seed=seed))
+    s = rng.uniform(0.0, 1.0, g.n)
+    m2 = rng.random(g.n) < rng.uniform()
+    m1 = m2 & (rng.random(g.n) < rng.uniform())
+    src = source_opinions(s, gamma)
+    z1, z2 = (equilibrium_with_media(g, s, beta, build_zeta(
+        MediaAssignment(m), src.z_M, src.z_Mprime), tol=1e-12) for m in (m1, m2))
+    assert np.all(z2 >= z1 - 1e-9)
