@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+from functools import partial
 
 from .graph import write_edge_list
 from .harness import ExperimentConfig, GraphSpec, run_experiment
@@ -22,45 +24,56 @@ from .numerics import ConvergenceError
 
 def _add_graph_source(p: argparse.ArgumentParser, *, for_generate: bool = False):
     if not for_generate:
-        p.add_argument("--graph", metavar="PATH", help="edge-list file to load")
-    p.add_argument("--gen", choices=("ba", "dreg"), help="graph generator")
+        p.add_argument("--graph", dest="path", metavar="PATH",
+                       help="edge-list file to load")
+    p.add_argument("--gen", choices=[k for k in GraphSpec.SOURCES if k != "file"],
+                   help="graph generator")
     p.add_argument("--n", type=int, help="node count for --gen")
     p.add_argument("--m", type=int, help="edges per new node (ba)")
     p.add_argument("--d", type=int, help="degree (dreg)")
 
 
-def _add_run_flags(p: argparse.ArgumentParser, *, default_alpha=None):
-    p.add_argument("--alpha", type=float, required=default_alpha is None,
-                   default=default_alpha, help="fraction of nodes following M")
+def _add_run_flags(p: argparse.ArgumentParser, mode: str):
+    # each optional flag's dest names the ExperimentConfig field it sets
+    defaults = ExperimentConfig  # a dataclass field's default is its class attribute
+    p.add_argument("--alpha", type=float, required=mode != "nonstubborn",
+                   default=1.0,  # the one persuadable source takes every node
+                   help="fraction of nodes following M")
     p.add_argument("--beta", type=float, required=True, help="media strength")
     p.add_argument("--gamma", type=float, required=True, help="source opinion spread")
-    p.add_argument("--reps", type=int, default=20, help="repetitions (default 20)")
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
-    p.add_argument("--innate-mu", type=float, default=0.5,
-                   help="innate opinion mean (default 0.5)")
-    p.add_argument("--innate-var", type=float, default=0.2,
-                   help="innate opinion variance before clipping (default 0.2)")
-    p.add_argument("--out", metavar="PATH",
+    p.add_argument("--reps", dest="repetitions", metavar="REPS", type=int,
+                   help=f"repetitions (default {defaults.repetitions})")
+    p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int,
+                   help=f"base seed, >= 0 (default {defaults.base_seed})")
+    p.add_argument("--tol", type=float,
+                   help=f"solver tolerance, in (0, 1) (default {defaults.tol:g})")
+    p.add_argument("--innate-mu", dest="innate_mu", type=float,
+                   help=f"innate opinion mean (default {defaults.innate_mu})")
+    p.add_argument("--innate-var", dest="innate_var", type=float,
+                   help="innate opinion variance before clipping "
+                        f"(default {defaults.innate_var})")
+    p.add_argument("--out", dest="output", metavar="PATH",
                    help="CSV output path; manifest lands at PATH.manifest")
+    if mode == "periods":
+        p.add_argument("--max-periods", dest="max_periods", type=int,
+                       help=f"period cap (default {defaults.max_periods})")
+        p.add_argument("--epsilon", type=float,
+                       help="down-radicalization threshold (default 10/n)")
 
 
 def _graph_spec(args) -> GraphSpec:
-    if getattr(args, "graph", None):
-        if args.gen:
-            raise ValueError("--graph and --gen are mutually exclusive")
-        return GraphSpec(kind="file", path=args.graph)
-    if not args.gen:
+    given = vars(args)
+    path = given.get("path")
+    if path and given.get("gen"):
+        raise ValueError("--graph and --gen are mutually exclusive")
+    kind = "file" if path else given.get("gen")
+    if not kind:
         raise ValueError("need either --graph or --gen")
-    if args.n is None:
-        raise ValueError("--gen needs --n")
-    if args.gen == "ba":
-        if args.m is None:
-            raise ValueError("--gen ba needs --m")
-        return GraphSpec(kind="ba", n=args.n, m=args.m)
-    if args.d is None:
-        raise ValueError("--gen dreg needs --d")
-    return GraphSpec(kind="dreg", n=args.n, d=args.d)
+    params = {p: given.get(p) for p in GraphSpec.SOURCES[kind]}
+    missing = [f"--{p}" for p, v in params.items() if v is None]
+    if missing:
+        raise ValueError(f"--gen {kind} needs {' and '.join(missing)}")
+    return GraphSpec(kind=kind, **params)
 
 
 def _cmd_generate(args) -> int:
@@ -79,25 +92,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args, mode: str) -> int:
-    config = ExperimentConfig(
-        mode=mode,
-        graph=_graph_spec(args),
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        innate_mu=args.innate_mu,
-        innate_var=args.innate_var,
-        repetitions=args.reps,
-        base_seed=args.seed,
-        tol=args.tol,
-        max_periods=getattr(args, "max_periods", 1000),
-        epsilon=getattr(args, "epsilon", None),
-        output=args.out,
-    )
+    names = {f.name for f in fields(ExperimentConfig)}
+    config = ExperimentConfig(mode=mode, graph=_graph_spec(args),
+                              **{k: v for k, v in vars(args).items() if k in names})
     _, rows = run_experiment(config)
     _print_summary(mode, rows)
-    if args.out:
-        print(f"wrote {args.out} and {args.out}.manifest")
+    if config.output:
+        print(f"wrote {config.output} and {config.output}.manifest")
     return 0
 
 
@@ -134,28 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="file to write (default stdout)")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("equilibrium", help="single period, prints sum and bounds")
-    _add_graph_source(p)
-    _add_run_flags(p)
-    p.set_defaults(func=lambda a: _cmd_run(a, "equilibrium"))
-
-    p = sub.add_parser("periods", help="multi-period protocol")
-    _add_graph_source(p)
-    _add_run_flags(p)
-    p.add_argument("--max-periods", type=int, default=1000, dest="max_periods")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="down-radicalization threshold (default 10/n)")
-    p.set_defaults(func=lambda a: _cmd_run(a, "periods"))
-
-    p = sub.add_parser("nonstubborn", help="single persuadable source")
-    _add_graph_source(p)
-    _add_run_flags(p, default_alpha=1.0)
-    p.set_defaults(func=lambda a: _cmd_run(a, "nonstubborn"))
-
-    p = sub.add_parser("bounds", help="analytic sum bounds, no solve")
-    _add_graph_source(p)
-    _add_run_flags(p)
-    p.set_defaults(func=lambda a: _cmd_run(a, "bounds"))
+    for mode, text in (("equilibrium", "single period, prints sum and bounds"),
+                       ("periods", "multi-period protocol"),
+                       ("nonstubborn", "single persuadable source"),
+                       ("bounds", "analytic sum bounds, no solve")):
+        # a flag not given stays out of the namespace, so the config default applies
+        p = sub.add_parser(mode, help=text, argument_default=argparse.SUPPRESS)
+        _add_graph_source(p)
+        _add_run_flags(p, mode)
+        p.set_defaults(func=partial(_cmd_run, mode=mode))
 
     return parser
 

@@ -41,12 +41,11 @@ def fj_step(graph: Graph, s: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (s + neighbor_sum(graph, z)) / (1.0 + graph.degree)
 
 
-def fj_equilibrium(graph: Graph, s: np.ndarray, tol: float = 1e-10,
-                   max_iter: int | None = None) -> np.ndarray:
+def fj_equilibrium(graph: Graph, s: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Equilibrium opinions z* = (I + L)^{-1} s, by conjugate gradient.
 
     On a graph with no edges this returns s itself.
     """
     s = opinion_vector(s, graph.n)
     op = DiagPlusLaplacianOperator(graph, np.ones(graph.n))
-    return solve_spd(op, s, tol=tol, max_iter=max_iter).solution
+    return solve_spd(op, s, tol=tol).solution

@@ -305,9 +305,11 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
 
     All nd stubs are shuffled and paired; pairs that would create a self-loop
     or duplicate edge put their stubs back for the next shuffle.  When the
-    leftover stubs cannot be placed at all, everything restarts.  Unit
-    weights; deterministic for a fixed seed.  ``n*d`` must be even and
-    ``d < n``.
+    leftover stubs cannot be placed at all, everything restarts.  Pairing
+    stalls on dense graphs, so for ``2d > n - 1`` the sparser
+    ``(n-1-d)``-regular graph is paired from the same seed and its complement
+    returned, edges in row-major order.  Unit weights; deterministic for a
+    fixed seed.  ``n*d`` must be even and ``d < n``.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -315,15 +317,20 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
         raise ValueError("d must be < n")
     if (n * d) % 2 != 0:
         raise ValueError("n*d must be even for a d-regular graph to exist")
-    if d == 0:
-        return Graph(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                     np.empty(0))
-    rng = np.random.default_rng(seed)
-    while True:
-        edges = _pairing_attempt(rng, n, d)
-        if edges is not None:
-            arr = np.array(edges, dtype=np.int64)
-            return Graph(n, arr[:, 0], arr[:, 1], np.ones(arr.shape[0]))
+    dense = 2 * d > n - 1
+    k = n - 1 - d if dense else d  # n*k is even too, as n*(n-1) is
+    u = v = np.empty(0, dtype=np.int64)
+    if k:
+        rng = np.random.default_rng(seed)
+        edges = None
+        while edges is None:
+            edges = _pairing_attempt(rng, n, k)
+        u, v = np.array(edges, dtype=np.int64).T
+    if dense:
+        keep = np.triu(np.ones((n, n), dtype=bool), 1)
+        keep[u, v] = False
+        u, v = np.nonzero(keep)
+    return Graph(n, u, v, np.ones(u.size))
 
 
 def _pairing_attempt(rng, n: int, d: int):

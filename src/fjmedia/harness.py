@@ -10,10 +10,12 @@ timestamps anywhere: identical configs must produce identical files.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,26 +52,29 @@ CSV_COLUMNS = {
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Where the graph comes from: an edge-list file or a seeded generator."""
+    """Where the graph comes from: an edge-list file or a seeded generator.
 
-    kind: str  # "file" | "ba" | "dreg"
+    ``sha256`` is the digest a file graph must still have (None: unchecked);
+    :func:`config_from_manifest` fills it in from the manifest.
+    """
+
+    # the one list of graph sources and the parameters each one needs
+    SOURCES: ClassVar[dict[str, tuple[str, ...]]] = {
+        "file": ("path",), "ba": ("n", "m"), "dreg": ("n", "d")}
+
+    kind: str
     path: str | None = None
     n: int | None = None
     m: int | None = None
     d: int | None = None
+    sha256: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "file":
-            if not self.path:
-                raise ValueError("file graph spec needs a path")
-        elif self.kind == "ba":
-            if self.n is None or self.m is None:
-                raise ValueError("ba graph spec needs n and m")
-        elif self.kind == "dreg":
-            if self.n is None or self.d is None:
-                raise ValueError("dreg graph spec needs n and d")
-        else:
+        if self.kind not in self.SOURCES:
             raise ValueError(f"unknown graph kind {self.kind!r}")
+        missing = [p for p in self.SOURCES[self.kind] if getattr(self, p) in (None, "")]
+        if missing:
+            raise ValueError(f"{self.kind} graph spec needs {' and '.join(missing)}")
 
     def build(self, seed: int) -> Graph:
         if self.kind == "file":
@@ -82,14 +87,8 @@ class GraphSpec:
         return gen_random_regular(self.n, self.d, seed)
 
     def describe(self) -> list[tuple[str, str]]:
-        out = [("graph.kind", self.kind)]
-        if self.kind == "file":
-            out.append(("graph.path", self.path))
-        else:
-            out.append(("graph.n", str(self.n)))
-            out.append(("graph.m" if self.kind == "ba" else "graph.d",
-                        str(self.m if self.kind == "ba" else self.d)))
-        return out
+        return [("graph.kind", self.kind)] + [
+            (f"graph.{p}", str(getattr(self, p))) for p in self.SOURCES[self.kind]]
 
 
 @dataclass(frozen=True)
@@ -114,6 +113,10 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
+        if not 0 < self.tol < 1:  # also rejects nan
+            raise ValueError(f"tol must lie in (0, 1), got {self.tol:g}")
         if self.innate_var < 0 or not np.isfinite(self.innate_var):
             raise ValueError("innate_var must be >= 0")
         MediaConfig(self.alpha, self.beta, self.gamma)  # parameter check
@@ -169,6 +172,14 @@ def sample_innate(n: int, mu: float, sigma: float, seed: int) -> np.ndarray:
     return np.clip(rng.normal(mu, sigma, n), 0.0, 1.0)
 
 
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _rep_streams(rep_seed: int) -> tuple[int, int, int]:
     # one child seed per random consumer, all derived from base_seed + rep
     state = np.random.SeedSequence(rep_seed).generate_state(3, dtype=np.uint64)
@@ -189,15 +200,18 @@ def run_experiment(config: ExperimentConfig):
     manifest.add("mode", config.mode)
     for k, v in config.graph.describe():
         manifest.add(k, v)
-    for key in ("alpha", "beta", "gamma", "innate_mu", "innate_var"):
+    file_graph = None
+    if config.graph.kind == "file":
+        # a file graph ignores the seed: check and load it once, before any repetition
+        digest = _file_sha256(config.graph.path)
+        if config.graph.sha256 not in (None, digest):
+            raise ValueError(f"{config.graph.path}: sha256 {digest} differs from the "
+                             f"recorded {config.graph.sha256}; the file changed")
+        manifest.add("graph.sha256", digest)
+        file_graph = config.graph.build(0)
+    for key in ("alpha", "beta", "gamma", "innate_mu", "innate_var", "innate_sigma",
+                "repetitions", "base_seed", "tol"):
         manifest.add(key, getattr(config, key))
-    manifest.add("innate_sigma", config.innate_sigma)
-    manifest.add("repetitions", config.repetitions)
-    manifest.add("base_seed", config.base_seed)
-    manifest.add("tol", config.tol)
-
-    # a file graph ignores the seed: load it once, before any repetition
-    file_graph = config.graph.build(0) if config.graph.kind == "file" else None
 
     if config.mode == "periods":
         # a generator returns exactly config.graph.n nodes
@@ -318,27 +332,12 @@ def config_from_manifest(text: str, output: str | None = None) -> ExperimentConf
         k, _, v = line.partition("=")
         kv[k.strip()] = v.strip()
     kind = kv["graph.kind"]
-    if kind == "file":
-        spec = GraphSpec(kind="file", path=kv["graph.path"])
-    elif kind == "ba":
-        spec = GraphSpec(kind="ba", n=int(kv["graph.n"]), m=int(kv["graph.m"]))
-    else:
-        spec = GraphSpec(kind="dreg", n=int(kv["graph.n"]), d=int(kv["graph.d"]))
-    mode = kv["mode"]
-    fpt = kv.get("fixed_point_tol", "")
-    return ExperimentConfig(
-        mode=mode,
-        graph=spec,
-        alpha=float(kv["alpha"]),
-        beta=float(kv["beta"]),
-        gamma=float(kv["gamma"]),
-        innate_mu=float(kv["innate_mu"]),
-        innate_var=float(kv["innate_var"]),
-        repetitions=int(kv["repetitions"]),
-        base_seed=int(kv["base_seed"]),
-        tol=float(kv["tol"]),
-        max_periods=int(kv["max_periods"]) if "max_periods" in kv else 1000,
-        epsilon=float(kv["epsilon"]) if kv.get("epsilon") else None,
-        fixed_point_tol=float(fpt) if fpt else None,
-        output=output,
-    )
+    graph = GraphSpec(kind, sha256=kv.get("graph.sha256"), **{
+        p: kv[f"graph.{p}"] if p == "path" else int(kv[f"graph.{p}"])
+        for p in GraphSpec.SOURCES.get(kind, ())})
+    # a config field without a manifest line (max_periods outside periods
+    # mode) keeps its default; an empty value is how _fmt writes None
+    casts = {"mode": str, "repetitions": int, "base_seed": int, "max_periods": int}
+    run = {k: casts.get(k, float)(kv[k]) if kv[k] else None
+           for k in (f.name for f in fields(ExperimentConfig)) if k in kv}
+    return ExperimentConfig(graph=graph, output=output, **run)

@@ -168,8 +168,7 @@ def build_zeta(assignment: MediaAssignment, z_M: float, z_Mprime: float) -> np.n
 
 
 def equilibrium_with_media(graph: Graph, s: np.ndarray, beta: float,
-                           zeta: np.ndarray, tol: float = 1e-10,
-                           max_iter: int | None = None) -> np.ndarray:
+                           zeta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Equilibrium under media influence, by conjugate gradient on
 
         ((1+beta) I + beta D + L) z = s + beta (I+D) zeta
@@ -187,7 +186,7 @@ def equilibrium_with_media(graph: Graph, s: np.ndarray, beta: float,
     media_weight = beta * (1.0 + graph.degree)
     # diagonal (1 + beta) + beta d_i written as 1 + beta (1 + d_i)
     op = DiagPlusLaplacianOperator(graph, 1.0 + media_weight)
-    return solve_spd(op, s + media_weight * zeta, tol=tol, max_iter=max_iter).solution
+    return solve_spd(op, s + media_weight * zeta, tol=tol).solution
 
 
 def sum_bounds(graph: Graph, s: np.ndarray, config: MediaConfig) -> SumBounds:

@@ -82,15 +82,16 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10
               max_iter: int | None = None) -> SolveReport:
     """Conjugate gradient on ``op.apply(x) = rhs``.
 
-    Stops when the relative residual ||A x - b||_2 / ||b||_2 drops to ``tol``
-    (verified against a freshly computed residual, not just the CG recursion).
+    Stops when the relative residual ||A x - b||_2 / ||b||_2 drops to ``tol``,
+    which must lie in (0, 1) (verified against a freshly computed residual,
+    not just the CG recursion).
     ``max_iter`` defaults to 10n.  Raises :class:`ConvergenceError` if the cap
     is hit first.
     """
     b = np.asarray(rhs, dtype=np.float64).ravel()
     n = b.size
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:  # also rejects nan
+        raise ValueError(f"tol must lie in (0, 1), got {tol:g}")
     if max_iter is None:
         max_iter = 10 * n
     b_norm = float(np.linalg.norm(b))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fjmedia
-from fjmedia import load_edge_list
+from fjmedia import ExperimentConfig, GraphSpec, load_edge_list, run_experiment
 from fjmedia.cli import main
 
 
@@ -118,6 +118,22 @@ def test_bounds_ell_star_predicts_periods_at_non_integral_alpha_n(tmp_path, caps
         assert int(row["period"]) - math.ceil(ell[rep]) in (0, 1), (rep, ell[rep])
 
 
+@pytest.mark.parametrize("mode", ["equilibrium", "periods", "nonstubborn", "bounds"])
+def test_run_without_optional_flags_uses_the_config_defaults(tmp_path, capsys, mode):
+    # the CLI keeps no run defaults of its own: ExperimentConfig's apply
+    cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    alpha = [] if mode == "nonstubborn" else ["--alpha", "1"]
+    code, _, err = run_cli(capsys, mode, "--gen", "dreg", "--n", "30", "--d", "4",
+                           *alpha, "--beta", "0.5", "--gamma", "0.1",
+                           "--out", str(cli_out))
+    assert code == 0 and err == ""
+    run_experiment(ExperimentConfig(mode, GraphSpec("dreg", n=30, d=4), 1.0, 0.5,
+                                    0.1, output=str(lib_out)))
+    assert cli_out.read_bytes() == lib_out.read_bytes()
+    assert (Path(f"{cli_out}.manifest").read_bytes()
+            == Path(f"{lib_out}.manifest").read_bytes())
+
+
 def test_run_from_file_graph(tmp_path, capsys):
     path = tmp_path / "net.edges"
     run_cli(capsys, "generate", "--gen", "dreg", "--n", "16", "--d", "4",
@@ -146,6 +162,10 @@ def test_missing_generator_params(capsys):
     code, _, err = run_cli(capsys, "equilibrium", "--gen", "ba", "--n", "10",
                            "--alpha", "1.0", "--beta", "0.5", "--gamma", "0.1")
     assert code == 2 and "--m" in err
+    # every missing flag is named, and only those
+    code, _, err = run_cli(capsys, "equilibrium", "--gen", "dreg",
+                           "--alpha", "1.0", "--beta", "0.5", "--gamma", "0.1")
+    assert code == 2 and err == "error: --gen dreg needs --n and --d\n"
 
 
 def test_missing_graph_source(capsys):
@@ -171,6 +191,23 @@ def test_bad_graph_file_names_the_file_and_line(tmp_path, capsys):
     assert code == 2
     assert str(path) in err and "line 2" in err and "self-loop" in err
     assert "repetition" not in err
+
+
+@pytest.mark.parametrize("mode", ["equilibrium", "periods", "bounds"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1"])
+def test_tol_outside_unit_interval_exits_before_any_repetition(capsys, mode, tol):
+    code, _, err = run_cli(capsys, mode, "--gen", "dreg", "--n", "30", "--d", "6",
+                           "--alpha", "0.9", "--beta", "0.5", "--gamma", "0.1",
+                           "--reps", "1", "--tol", tol)
+    assert code == 2 and "tol" in err
+    assert "Traceback" not in err and "repetition" not in err
+
+
+def test_negative_seed_names_the_flag(capsys):
+    code, _, err = run_cli(capsys, "equilibrium", "--gen", "dreg", "--n", "30",
+                           "--d", "6", "--alpha", "0.9", "--beta", "0.5",
+                           "--gamma", "0.1", "--reps", "1", "--seed", "-1")
+    assert code == 2 and "seed" in err and "repetition" not in err
 
 
 def test_odd_degree_sum_reports_error(capsys):

@@ -267,6 +267,19 @@ def test_dreg_large_instance_edge_count():
     assert np.all(g.degree == 44.0)
 
 
+@pytest.mark.parametrize("n,d", [(60, 56), (61, 58), (40, 36), (8, 7)])
+def test_dreg_dense_is_the_complement_of_a_sparse_pairing(n, d):
+    # 2d > n - 1: pairing the (n-1-d)-regular complement instead finishes fast
+    # ((8, 7) is the complete graph from an empty sparse side)
+    g = gen_random_regular(n, d, seed=0)
+    assert g.m == n * d // 2
+    assert np.all(g.degree == float(d))
+    pairs = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+    assert all(u < v for u, v in pairs) and len(set(pairs)) == g.m
+    assert pairs == sorted(pairs)  # row-major
+    assert gen_random_regular(n, d, seed=0).edges == g.edges
+
+
 def test_dreg_determinism():
     a = gen_random_regular(50, 6, seed=5)
     b = gen_random_regular(50, 6, seed=5)

@@ -1,11 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from fjmedia import (CSV_COLUMNS, ExperimentConfig, GraphSpec,
-                     config_from_manifest, rows_to_csv, run_experiment,
-                     sample_innate)
+                     config_from_manifest, gen_barabasi_albert, rows_to_csv,
+                     run_experiment, sample_innate, write_edge_list)
 
 
 def dreg_config(mode="equilibrium", **kw):
@@ -60,10 +61,10 @@ def test_sample_innate_validation():
 def test_graph_spec_validation():
     with pytest.raises(ValueError):
         GraphSpec(kind="file")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs m$"):
         GraphSpec(kind="ba", n=10)
-    with pytest.raises(ValueError):
-        GraphSpec(kind="dreg", n=10)
+    with pytest.raises(ValueError, match="needs n and d$"):
+        GraphSpec(kind="dreg")
     with pytest.raises(ValueError):
         GraphSpec(kind="erdos", n=10)
 
@@ -91,6 +92,11 @@ def test_experiment_config_validation():
         dreg_config(innate_var=-1.0)
     with pytest.raises(ValueError):
         dreg_config(alpha=2.0)
+    for tol in (float("nan"), float("inf"), 0.0, -1.0, 1.0):
+        with pytest.raises(ValueError, match="tol"):
+            dreg_config(tol=tol)
+    with pytest.raises(ValueError, match="seed"):
+        dreg_config(base_seed=-1)
     assert dreg_config(innate_var=0.04).innate_sigma == pytest.approx(0.2)
 
 
@@ -244,8 +250,20 @@ def test_output_failure_leaves_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_manifest_round_trip_reproduces_run(tmp_path):
-    config = dreg_config(mode="periods", max_periods=5, epsilon=0.01)
+def _edge_file(tmp_path):
+    path = tmp_path / "net.edges"
+    write_edge_list(gen_barabasi_albert(25, 2, seed=4), str(path))
+    return path
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda tmp_path: GraphSpec(kind="ba", n=30, m=2),
+    lambda tmp_path: GraphSpec(kind="dreg", n=40, d=4),
+    lambda tmp_path: GraphSpec(kind="file", path=str(_edge_file(tmp_path))),
+], ids=["ba", "dreg", "file"])
+def test_manifest_round_trip_reproduces_run(tmp_path, make_spec):
+    config = dreg_config(mode="periods", graph=make_spec(tmp_path), max_periods=5,
+                         epsilon=0.01)
     manifest, rows = run_experiment(config)
     rebuilt = config_from_manifest(manifest.text())
     manifest2, rows2 = run_experiment(rebuilt)
@@ -254,17 +272,30 @@ def test_manifest_round_trip_reproduces_run(tmp_path):
 
 
 def test_manifest_round_trip_file_graph(tmp_path):
-    from fjmedia import gen_barabasi_albert, write_edge_list
-    path = tmp_path / "net.edges"
-    write_edge_list(gen_barabasi_albert(25, 2, seed=4), str(path))
+    path = _edge_file(tmp_path)
     config = ExperimentConfig(mode="equilibrium",
                               graph=GraphSpec(kind="file", path=str(path)),
                               alpha=0.8, beta=0.3, gamma=0.02, repetitions=2)
     manifest, rows = run_experiment(config)
+    text = manifest.text()
     assert manifest.get("graph.path") == str(path)
-    rebuilt = config_from_manifest(manifest.text())
-    _, rows2 = run_experiment(rebuilt)
+    assert manifest.get("graph.sha256") == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert text.index("graph.sha256 =") < text.index("rep0.")
+    rebuilt = config_from_manifest(text)
+    assert rebuilt.graph.sha256 == manifest.get("graph.sha256")
+    manifest2, rows2 = run_experiment(rebuilt)
+    assert manifest2.text() == text
     assert rows_to_csv("equilibrium", rows2) == rows_to_csv("equilibrium", rows)
+    # a manifest without the digest line still reruns
+    unchecked = "".join(line for line in text.splitlines(keepends=True)
+                        if not line.startswith("graph.sha256"))
+    assert run_experiment(config_from_manifest(unchecked))[0].text() == text
+    # the file changed after the run: the rerun refuses it before loading
+    with path.open("a") as fh:
+        fh.write("# edited\n")
+    with pytest.raises(ValueError, match="sha256") as exc_info:
+        run_experiment(rebuilt)
+    assert str(path) in str(exc_info.value)
 
 
 def test_manifest_round_trip_epsilon_none(tmp_path):

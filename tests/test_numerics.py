@@ -119,6 +119,13 @@ def test_max_iter_exhaustion_raises_with_residual():
     assert err.residual > 0
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 1.0])
+def test_tol_outside_unit_interval_raises(tol):
+    op = DiagPlusLaplacianOperator(path3(), np.ones(3))
+    with pytest.raises(ValueError, match="tol"):
+        solve_spd(op, np.ones(3), tol=tol)
+
+
 def test_row_sum_bounds_of_inverse():
     # y^T = 1^T ((1+beta) I + beta D + L)^{-1} is bracketed by
     # 1/(beta(d_max+1)+1) <= y_j <= 1/(beta(d_min+1)+1), tight when regular
