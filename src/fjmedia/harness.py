@@ -117,8 +117,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.base_seed}")
         if not 0 < self.tol < 1:  # also rejects nan
             raise ValueError(f"tol must lie in (0, 1), got {self.tol:g}")
-        if self.innate_var < 0 or not np.isfinite(self.innate_var):
-            raise ValueError("innate_var must be >= 0")
+        if not np.isfinite(self.innate_mu):  # a finite mu outside [0, 1] is clipped
+            raise ValueError(f"innate_mu must be finite, got {self.innate_mu:g}")
+        if not (np.isfinite(self.innate_var) and self.innate_var >= 0):
+            raise ValueError(f"innate_var must be finite and >= 0, got {self.innate_var:g}")
         MediaConfig(self.alpha, self.beta, self.gamma)  # parameter check
 
     @property

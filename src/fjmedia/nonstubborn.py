@@ -10,15 +10,34 @@ the augmented graph then caps the influence hard:
 so a persuadable source moves the total by at most a 1/n-sized factor, versus
 the n-independent gain a stubborn source achieves.  Only full attachment
 (alpha = 1) is modelled.
+
+The augmented graph is never built.  With w = beta * (1 + d) and
+A = I + diag(w) + L, the operator ``equilibrium_with_media`` solves for the
+stubborn sources, the augmented FJ system splits into the node rows and the
+source row:
+
+    A z = s + w z_M                      (node rows)
+    (1 + sum(w)) z_M - w^T z = s_M       (source row)
+
+Substituting z = A^{-1} s + z_M b with b = A^{-1} w, and using that A is
+symmetric (w^T A^{-1} s = b^T s), gives
+
+    z_M = (s_M + b^T s) / (1 + sum(w) - w^T b)
+
+so two solves of the stubborn media operator give the equilibrium: b, then z
+with every node's source opinion set to z_M.  L is positive semidefinite, so
+A dominates I + diag(w) and w^T A^{-1} w <= sum(w^2 / (1 + w)); the
+denominator is therefore at least 1 + sum(w / (1 + w)), which is > 1 for
+beta > 0.  At beta = 0, b = 0 and z_M = s_M exactly, with no branch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fj import fj_equilibrium, opinion_vector
+from .fj import opinion_vector
 from .graph import Graph
-from .media import MediaConfig, source_opinions
+from .media import MediaConfig, equilibrium_with_media, source_opinions
 
 __all__ = ["nonstubborn_equilibrium"]
 
@@ -27,21 +46,17 @@ def nonstubborn_equilibrium(graph: Graph, s: np.ndarray, config: MediaConfig,
                             tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Equilibrium with one non-stubborn source; returns (node opinions, z_M*).
 
-    Builds the (n+1)-node graph, with the source as node n, and solves plain
-    FJ on it.  Rejects alpha != 1: the single-source analysis assumes
-    everyone listens to M.
+    Eliminates the source node and solves the stubborn media operator twice
+    (see the module docstring).  Rejects alpha != 1: the single-source
+    analysis assumes everyone listens to M.
     """
     if config.alpha != 1.0:
         raise ValueError("non-stubborn mode requires alpha = 1")
     s = opinion_vector(s, graph.n)
     n = graph.n
-    weight = config.beta * (1.0 + graph.degree)
-    keep = weight > 0.0  # zero-weight edges are no edges
-    src_u = np.nonzero(keep)[0].astype(np.int64)
-    aug = Graph(n + 1,
-                np.concatenate([graph.edge_u, src_u]),
-                np.concatenate([graph.edge_v, np.full(src_u.size, n, dtype=np.int64)]),
-                np.concatenate([graph.edge_w, weight[keep]]))
+    w = config.beta * (1.0 + graph.degree)
+    b = equilibrium_with_media(graph, np.zeros(n), config.beta, np.ones(n), tol=tol)
     s_M = source_opinions(s, config.gamma).z_M
-    z = fj_equilibrium(aug, np.append(s, s_M), tol=tol)
-    return z[:n], float(z[n])
+    z_M = (s_M + float(b @ s)) / (1.0 + float(w.sum()) - float(w @ b))
+    z = equilibrium_with_media(graph, s, config.beta, np.full(n, z_M), tol=tol)
+    return z, z_M

@@ -2,8 +2,13 @@
 
 Every linear system in this package is symmetric positive definite with the
 shape (diagonal + graph Laplacian), so one conjugate-gradient routine covers
-them all without ever forming a matrix.  A plain CG loop is enough at the
-sizes we run; no preconditioning.
+them all without ever forming a matrix.  CG is preconditioned with the
+operator's own diagonal, gamma_diag + degree (Jacobi; Saad, *Iterative
+Methods for Sparse Linear Systems*, section 9.2).  On hub-heavy graphs the
+diagonal spans orders of magnitude and Jacobi cuts the iteration count
+several-fold; on a graph whose diagonal is constant the scaled
+preconditioner is exactly the identity, so the iterates are those of plain
+CG, bit for bit.
 """
 
 from __future__ import annotations
@@ -80,11 +85,12 @@ class SolveReport:
 
 def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10,
               max_iter: int | None = None) -> SolveReport:
-    """Conjugate gradient on ``op.apply(x) = rhs``.
+    """Jacobi-preconditioned conjugate gradient on ``op.apply(x) = rhs``.
 
     Stops when the relative residual ||A x - b||_2 / ||b||_2 drops to ``tol``,
     which must lie in (0, 1) (verified against a freshly computed residual,
-    not just the CG recursion).
+    not just the CG recursion).  The stop test reads the unpreconditioned
+    residual.
     ``max_iter`` defaults to 10n.  Raises :class:`ConvergenceError` if the cap
     is hit first.
     """
@@ -97,28 +103,31 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return SolveReport(np.zeros(n), 0, 0.0)
+    diag = op.gamma_diag + op.graph.degree
+    # scaled by the largest entry, so a constant diagonal gives exactly 1.0
+    inv_diag = diag.max() / diag
     x = np.zeros(n)
     r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
+    p = inv_diag * r
+    rz = float(r @ p)
     for k in range(1, max_iter + 1):
         ap = op.apply(p)
-        alpha = rs / float(p @ ap)
+        alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * b_norm:
+        if np.sqrt(float(r @ r)) <= tol * b_norm:
             # the recursion residual drifts from the true one; trust but verify
             true_res = float(np.linalg.norm(op.apply(x) - b)) / b_norm
             if true_res <= tol:
                 return SolveReport(x, k, true_res)
             r = b - op.apply(x)
-            rs_new = float(r @ r)
-            p = r.copy()
-            rs = rs_new
+            p = inv_diag * r
+            rz = float(r @ p)
             continue
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     final = float(np.linalg.norm(op.apply(x) - b)) / b_norm
     raise ConvergenceError(
         f"conjugate gradient did not reach tol={tol:g} in {max_iter} iterations "

@@ -3,6 +3,8 @@
 Everything here is built naively from the edge tuple list and solved with
 numpy.linalg, on purpose: these are the oracles the matrix-free code paths
 get checked against, so they must not share any machinery with the package.
+``plain_cg``, the reference for the solver's own iterates, touches the
+package only through the operator's ``apply``.
 """
 
 import numpy as np
@@ -61,3 +63,37 @@ def iterate_media(graph, s, beta, zeta, tol=1e-10, max_iter=100_000):
             return z_next
         z = z_next
     raise AssertionError(f"iteration did not reach tol={tol:g} in {max_iter} steps")
+
+
+def plain_cg(op, b, tol):
+    """Unpreconditioned conjugate gradient on ``op.apply(x) = b``, the loop
+    ``solve_spd`` ran before it gained its Jacobi step; returns
+    (x, iterations).  On a constant operator diagonal ``solve_spd`` must
+    reproduce it bit for bit."""
+    b = np.asarray(b, dtype=np.float64).ravel()
+    n = b.size
+    max_iter = 10 * n
+    b_norm = float(np.linalg.norm(b))
+    x = np.zeros(n)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    for k in range(1, max_iter + 1):
+        ap = op.apply(p)
+        alpha = rs / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = float(r @ r)
+        if np.sqrt(rs_new) <= tol * b_norm:
+            # the recursion residual drifts from the true one; trust but verify
+            true_res = float(np.linalg.norm(op.apply(x) - b)) / b_norm
+            if true_res <= tol:
+                return x, k
+            r = b - op.apply(x)
+            rs_new = float(r @ r)
+            p = r.copy()
+            rs = rs_new
+            continue
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    raise AssertionError(f"plain CG did not reach tol={tol:g} in {max_iter} iterations")

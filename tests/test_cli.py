@@ -203,11 +203,26 @@ def test_tol_outside_unit_interval_exits_before_any_repetition(capsys, mode, tol
     assert "Traceback" not in err and "repetition" not in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--innate-mu", "nan"), ("--innate-mu", "inf"), ("--innate-mu", "-inf"),
+    ("--innate-var", "inf"), ("--innate-var", "nan")])
+def test_non_finite_innate_flag_exits_before_any_repetition(capsys, flag, value):
+    code, _, err = run_cli(capsys, "equilibrium", "--gen", "dreg", "--n", "30",
+                           "--d", "4", "--alpha", "0.9", "--beta", "0.5",
+                           "--gamma", "0.1", "--reps", "1", f"{flag}={value}")
+    field = flag[2:].replace("-", "_")
+    assert code == 2 and field in err and value in err
+    assert "Traceback" not in err and "repetition" not in err
+
+
 def test_negative_seed_names_the_flag(capsys):
     code, _, err = run_cli(capsys, "equilibrium", "--gen", "dreg", "--n", "30",
                            "--d", "6", "--alpha", "0.9", "--beta", "0.5",
                            "--gamma", "0.1", "--reps", "1", "--seed", "-1")
     assert code == 2 and "seed" in err and "repetition" not in err
+    code, out, err = run_cli(capsys, "generate", "--gen", "dreg", "--n", "10",
+                             "--d", "2", "--seed", "-1")
+    assert code == 2 and out == "" and "seed must be >= 0, got -1" in err
 
 
 def test_odd_degree_sum_reports_error(capsys):

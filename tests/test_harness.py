@@ -88,8 +88,13 @@ def test_experiment_config_validation():
         dreg_config(mode="diffusion")
     with pytest.raises(ValueError):
         dreg_config(repetitions=0)
-    with pytest.raises(ValueError):
-        dreg_config(innate_var=-1.0)
+    for mu in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="innate_mu"):
+            dreg_config(innate_mu=mu)
+    for var in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="innate_var"):
+            dreg_config(innate_var=var)
+    assert dreg_config(innate_mu=1.5).innate_mu == 1.5  # clipped when sampled
     with pytest.raises(ValueError):
         dreg_config(alpha=2.0)
     for tol in (float("nan"), float("inf"), 0.0, -1.0, 1.0):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fjmedia import (Graph, MediaConfig, gen_barabasi_albert,
-                     gen_random_regular, nonstubborn_equilibrium)
+from fjmedia import (Graph, MediaConfig, fj_equilibrium, gen_barabasi_albert,
+                     gen_random_regular, nonstubborn_equilibrium,
+                     source_opinions)
 from oracles import adjacency, fj_matrix
 from oracles import solve as dense_solve
 
@@ -61,7 +62,8 @@ def test_beta_zero_detaches_the_source():
     s = np.array([0.2, 0.5, 0.8])
     z, z_M = nonstubborn_equilibrium(g, s, MediaConfig(1.0, 0.0, 0.1))
     # detached source keeps its innate opinion, nodes solve plain FJ
-    assert z_M == pytest.approx(1.1 * 0.5, rel=1e-12)
+    assert z_M == source_opinions(s, 0.1).z_M
+    assert np.array_equal(z, fj_equilibrium(g, s))
     want = dense_solve(fj_matrix(g), s)
     assert np.max(np.abs(z - want)) <= 1e-9
 
@@ -115,12 +117,15 @@ def test_influence_cap_on_complete_graph():
     assert z.sum() >= 22.5  # source starts above the mean, pull is upward
 
 
-def test_matches_dense_oracle_on_augmented_graph():
+@pytest.mark.parametrize("beta", [0.025, 0.4, 20.0])
+def test_matches_dense_oracle_on_augmented_graph(beta):
     rng = np.random.default_rng(12)
-    for seed in range(5):
-        g = gen_barabasi_albert(30, 2, seed=seed)
+    graphs = [gen_barabasi_albert(30, 2, seed=seed) for seed in range(5)]
+    # node 30 has no neighbours, only its media edge of weight beta
+    graphs.append(Graph(31, graphs[0].edge_u, graphs[0].edge_v, graphs[0].edge_w))
+    for g in graphs:
         s = rng.uniform(0.0, 0.8, g.n)
-        config = MediaConfig(1.0, 0.4, 0.05)
+        config = MediaConfig(1.0, beta, 0.05)
         z, z_M = nonstubborn_equilibrium(g, s, config, tol=1e-12)
         want_z, want_M = augmented_oracle(g, s, config)
         assert np.max(np.abs(np.append(z, z_M) - np.append(want_z, want_M))) <= 1e-8

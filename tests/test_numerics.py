@@ -5,6 +5,7 @@ from fjmedia import (ConvergenceError, DiagPlusLaplacianOperator, Graph,
                      SolveReport, gen_barabasi_albert,
                      gen_random_regular, solve_spd)
 from oracles import laplacian as dense_laplacian
+from oracles import plain_cg
 from oracles import solve as dense_solve
 
 
@@ -117,6 +118,36 @@ def test_max_iter_exhaustion_raises_with_residual():
     err = exc_info.value
     assert err.iterations == 2
     assert err.residual > 0
+
+
+def _fj_and_media_operators(g, beta):
+    return (DiagPlusLaplacianOperator(g, np.ones(g.n)),
+            DiagPlusLaplacianOperator(g, 1.0 + beta * (1.0 + g.degree)))
+
+
+def test_constant_diagonal_keeps_plain_cg_iterates():
+    # on a d-regular graph the Jacobi scaling is exactly 1.0 everywhere
+    rng = np.random.default_rng(17)
+    for seed, (n, d) in enumerate([(40, 4), (200, 6), (501, 20), (1000, 3)]):
+        g = gen_random_regular(n, d, seed=seed)
+        for op in _fj_and_media_operators(g, float(rng.uniform(0.01, 2.0))):
+            b = rng.uniform(0.0, 1.0, g.n)
+            for tol in (1e-6, 1e-10, 1e-13):
+                rep = solve_spd(op, b, tol=tol)
+                want, iterations = plain_cg(op, b, tol)
+                assert np.array_equal(rep.solution, want), (n, d, tol)
+                assert rep.iterations == iterations
+
+
+def test_jacobi_cuts_iterations_on_a_hub_graph():
+    g = gen_barabasi_albert(2000, 3, seed=4)
+    b = np.random.default_rng(6).uniform(0.0, 1.0, g.n)
+    for op in _fj_and_media_operators(g, 0.5):
+        rep = solve_spd(op, b, tol=1e-10)
+        x, iterations = plain_cg(op, b, 1e-10)
+        for sol in (rep.solution, x):
+            assert np.linalg.norm(op.apply(sol) - b) <= 1e-10 * np.linalg.norm(b)
+        assert rep.iterations < iterations
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 1.0])
