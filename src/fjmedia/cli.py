@@ -13,6 +13,7 @@ Run `fjmedia <subcommand> --help` for flags.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 from functools import partial
@@ -20,6 +21,21 @@ from functools import partial
 from .graph import write_edge_list
 from .harness import ExperimentConfig, GraphSpec, run_experiment
 from .numerics import ConvergenceError
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-1e-3`` and ``-inf`` as values.
+
+    argparse reads an argument that starts with '-' as a value only when it
+    looks like a plain negative decimal such as ``-0.5``; any other, e.g.
+    ``--innate-mu -1e-3``, it takes for an unknown flag.  Subparsers inherit
+    the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
 
 def _add_graph_source(p: argparse.ArgumentParser, *, for_generate: bool = False):
@@ -126,7 +142,7 @@ def _print_summary(mode: str, rows) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fjmedia",
         description="Friedkin-Johnsen opinion dynamics with media sources")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,9 +1,11 @@
 """Weighted undirected graphs with matrix-free Laplacian products.
 
-A graph is stored as flat edge arrays (one row per undirected edge) plus a
-precomputed weighted degree vector.  Nothing here ever materialises an n x n
-matrix: ``laplacian_apply`` and ``neighbor_sum`` scatter over the edge arrays,
-which is all the solvers need.
+A graph is stored as flat edge arrays (one row per undirected edge), a
+precomputed weighted degree vector, and the symmetrised adjacency in CSR
+(compressed sparse row) form, built once by one sort.  Nothing here ever
+materialises an n x n matrix: ``neighbor_sum`` reduces each CSR row, and
+``laplacian_apply`` subtracts that from the degree-scaled vector, which is all
+the solvers need.
 
 Node ids are dense 0..n-1.  Only ``Graph`` knows the edge rules; ``load_edge_list``
 parses text, remaps ids by first appearance and names a rejected edge's line.
@@ -11,6 +13,8 @@ parses text, remaps ids by first appearance and names a rejected edge's line.
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -58,9 +62,11 @@ class GraphStats:
 class Graph:
     """Immutable weighted undirected graph.
 
-    Edges are stored once with ``edge_u[k] < edge_v[k]``; the degree vector is
-    derived at construction.  Arrays are set read-only so instances can be
-    shared freely between runs.
+    Edges are stored once with ``edge_u[k] < edge_v[k]``; the degree vector and
+    the symmetrised adjacency in CSR form are derived at construction.  Row i
+    of the CSR holds node i's neighbours ``nbr[indptr[i]:indptr[i+1]]``, sorted
+    by id, with their edge weights ``nbr_w`` alongside.  Arrays are set
+    read-only so instances can be shared freely between runs.
 
     Construct through :meth:`from_edges`, the generators, or
     :func:`load_edge_list` rather than passing raw arrays.
@@ -71,29 +77,44 @@ class Graph:
     edge_v: np.ndarray
     edge_w: np.ndarray
     degree: np.ndarray = field(init=False)
+    indptr: np.ndarray = field(init=False, repr=False)
+    nbr: np.ndarray = field(init=False, repr=False)
+    nbr_w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("graph needs at least one node")
         u = np.asarray(self.edge_u, dtype=np.int64).ravel()
         v = np.asarray(self.edge_v, dtype=np.int64).ravel()
         w = np.asarray(self.edge_w, dtype=np.float64).ravel()
         if not (u.shape == v.shape == w.shape):
             raise ValueError("edge arrays must have identical length")
-        if u.size:
-            valid = (min(u.min(), v.min()) >= 0 and max(u.max(), v.max()) < self.n
-                     and not np.any(u == v)
-                     and not (np.any(~np.isfinite(w)) or np.any(w <= 0)))
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            keys = lo * np.int64(self.n) + hi
-            if not valid or np.unique(keys).size != keys.size:
-                raise _first_bad_edge(self.n, u, v, w)
-            u, v = lo, hi
-        deg = np.bincount(u, weights=w, minlength=self.n) + np.bincount(
-            v, weights=w, minlength=self.n
+        if u.size and not (min(u.min(), v.min()) >= 0 and max(u.max(), v.max()) < n
+                           and not np.any(u == v)
+                           and not (np.any(~np.isfinite(w)) or np.any(w <= 0))):
+            raise _first_bad_edge(n, u, v, w)
+        # each edge gives the directed entries (u, v) and (v, u); one sort of
+        # their keys row*n + col gives the CSR, and a pair given twice in
+        # either orientation shows as two equal adjacent keys
+        keys = np.concatenate([u, v])  # the rows, until scaled in place
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+        keys *= n
+        keys += np.concatenate([v, u])
+        order = np.argsort(keys)
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise _first_bad_edge(n, u, v, w)
+        keys %= n  # now the neighbour ids
+        order %= u.size  # directed key k came from edge k mod m
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        deg = np.bincount(lo, weights=w, minlength=n) + np.bincount(
+            hi, weights=w, minlength=n
         )
-        for name, arr in (("edge_u", u), ("edge_v", v), ("edge_w", w), ("degree", deg)):
+        stored = (("edge_u", lo), ("edge_v", hi), ("edge_w", w), ("degree", deg),
+                  ("indptr", indptr), ("nbr", keys), ("nbr_w", w[order]))
+        for name, arr in stored:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -120,24 +141,12 @@ class Graph:
             for a, b, c in zip(self.edge_u, self.edge_v, self.edge_w)
         ]
 
-    @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # symmetrised adjacency in CSR form, built once on first neighbor query
-        ends = np.concatenate([self.edge_u, self.edge_v])
-        other = np.concatenate([self.edge_v, self.edge_u])
-        wts = np.concatenate([self.edge_w, self.edge_w])
-        order = np.lexsort((other, ends))  # by node, then neighbor id
-        counts = np.bincount(ends, minlength=self.n)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return indptr, other[order], wts[order]
-
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         """Neighbors of node ``i`` with edge weights, sorted by neighbor id."""
         if not 0 <= i < self.n:
             raise ValueError(f"node {i} out of range")
-        indptr, idx, wts = self._csr
-        lo, hi = indptr[i], indptr[i + 1]
-        return [(int(j), float(w)) for j, w in zip(idx[lo:hi], wts[lo:hi])]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return [(int(j), float(w)) for j, w in zip(self.nbr[lo:hi], self.nbr_w[lo:hi])]
 
     @cached_property
     def stats(self) -> GraphStats:
@@ -176,17 +185,19 @@ def _first_bad_edge(n: int, u, v, w) -> _EdgeError:
 
 
 def neighbor_sum(graph: Graph, x: np.ndarray) -> np.ndarray:
-    """Weighted neighbor sums ``(W x)_i = sum_j w_ij x_j``, matrix-free."""
+    """Weighted neighbor sums ``(W x)_i = sum_j w_ij x_j``, one CSR row each."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (graph.n,):
         raise ValueError(f"expected vector of length {graph.n}, got shape {x.shape}")
-    if graph.m == 0:
-        return np.zeros(graph.n)
-    wx = np.bincount(graph.edge_u, weights=graph.edge_w * x[graph.edge_v],
-                     minlength=graph.n)
-    wx += np.bincount(graph.edge_v, weights=graph.edge_w * x[graph.edge_u],
-                      minlength=graph.n)
-    return wx
+    out = np.zeros(graph.n)
+    if graph.m:
+        # reduceat gives an empty row x[start], not 0, so isolated nodes are skipped
+        starts = graph.indptr[:-1]
+        nonempty = starts < graph.indptr[1:]
+        terms = x[graph.nbr]
+        terms *= graph.nbr_w
+        out[nonempty] = np.add.reduceat(terms, starts[nonempty])
+    return out
 
 
 def laplacian_apply(graph: Graph, x: np.ndarray) -> np.ndarray:
@@ -211,7 +222,93 @@ def load_edge_list(path) -> Graph:
     remapped to 0..n-1 by first appearance.  A malformed line is rejected as it
     is read; the edge rules ``Graph`` checks on the whole edge set then name
     the earliest offending line and its original ids.
+
+    The file is first parsed as one table by numpy.  Whenever that parse
+    cannot take the whole file, or the edges break a rule, the file is read
+    again line by line, and only that reader words the error.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        graph = _load_table(fh)
+    return graph if graph is not None else _load_lines(path)
+
+
+# the first line whose first token does not start with '#'
+_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
+
+
+def _load_table(fh) -> Graph | None:
+    # the whole file through np.loadtxt, or None to leave it to _load_lines
+    ncols = _table_columns(fh)
+    if not ncols:
+        return None
+    dtype = [("u", np.int64), ("v", np.int64), ("w", np.float64)][:ncols]
+    fh.seek(0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. a float read into an id
+            table = np.loadtxt(fh, dtype=dtype, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    ids = np.empty(2 * table.size, dtype=np.int64)
+    ids[0::2], ids[1::2] = table["u"], table["v"]
+    w = table["w"].copy() if ncols == 3 else np.ones(table.size)
+    del table
+    if ids.min() < 0:
+        return None
+    n = _relabel_by_first_appearance(ids)
+    try:
+        return Graph(n, ids[0::2], ids[1::2], w)
+    except _EdgeError:
+        return None
+
+
+def _table_columns(fh) -> int:
+    # 2 or 3 when np.loadtxt would read the file as _load_lines does, else 0:
+    # loadtxt misreads some non-ASCII digits as ASCII ones, and it cuts an
+    # inline '#' where the line reader rejects the line
+    try:
+        text = fh.read()
+    except UnicodeDecodeError:
+        return 0  # the line reader reports the undecodable line
+    if not text.isascii() or not _comments_start_lines(text):
+        return 0
+    first = _DATA_LINE.search(text)
+    ncols = len(first.group().split()) if first else 0
+    return ncols if ncols in (2, 3) else 0
+
+
+def _comments_start_lines(text: str) -> bool:
+    # is every '#' on a line that has nothing but blanks before its first '#'?
+    pos = text.find("#")
+    while pos >= 0:
+        if text[text.rfind("\n", 0, pos) + 1:pos].strip():
+            return False
+        end = text.find("\n", pos)
+        if end < 0:
+            return True
+        pos = text.find("#", end)
+    return True
+
+
+def _relabel_by_first_appearance(ids: np.ndarray) -> int:
+    # overwrite the non-empty ``ids`` with dense labels numbered by first
+    # appearance; returns the number of distinct ids
+    order = np.argsort(ids)
+    sorted_ids = ids[order]
+    head = np.empty(ids.size, dtype=bool)  # first of a run of equal sorted ids
+    head[0] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=head[1:])
+    del sorted_ids
+    starts = np.flatnonzero(head)
+    first_seen = np.minimum.reduceat(order, starts)
+    rank = np.empty(starts.size, dtype=np.int64)
+    rank[np.argsort(first_seen)] = np.arange(starts.size)
+    ids[order] = rank[np.cumsum(head) - 1]
+    return int(starts.size)
+
+
+def _load_lines(path) -> Graph:
+    # the reference reader: one line at a time, and every error names its line
     ids: dict[int, int] = {}
     us, vs, ws, lines = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:

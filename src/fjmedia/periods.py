@@ -110,7 +110,7 @@ class PeriodTrajectory:
         return np.array([r.sum_z for r in self.records])
 
 
-def _clamp_unit(z: np.ndarray, slack: float = 1e-9) -> np.ndarray:
+def _clamp_unit(z: np.ndarray, slack: float) -> np.ndarray:
     # equilibria live in [0,1] mathematically; tolerate solver-sized spill
     lo, hi = float(z.min()), float(z.max())
     if lo < -slack or hi > 1.0 + slack:
@@ -147,7 +147,11 @@ def run_periods(graph: Graph, s0: np.ndarray, config: MediaConfig,
         except ConvergenceError as exc:
             raise ConvergenceError(f"period {t}: {exc}", exc.iterations,
                                    exc.residual) from exc
-        z = _clamp_unit(z)
+        # the solve leaves ||A z - b|| <= tol ||b||, and every eigenvalue of
+        # A = (1 + beta) I + beta D + L is >= 1, so z lies within tol ||b||_2
+        # of the exact equilibrium
+        rhs = s + config.beta * (1.0 + graph.degree) * zeta
+        z = _clamp_unit(z, tol * float(np.linalg.norm(rhs)))
         mean_z = float(z.mean())
         traj.final_state = z
         traj.records.append(PeriodRecord(t, float(z.sum()), mean_z,

@@ -225,6 +225,27 @@ def test_negative_seed_names_the_flag(capsys):
     assert code == 2 and out == "" and "seed must be >= 0, got -1" in err
 
 
+def test_negative_float_flag_values_with_an_exponent(capsys):
+    # argparse alone reads "-1e-3" and "-inf" as unknown flags
+    base = ["equilibrium", "--gen", "dreg", "--n", "30", "--d", "4",
+            "--alpha", "0.9", "--gamma", "0.1", "--reps", "1"]
+    code, _, err = run_cli(capsys, *base, "--beta", "0.5", "--innate-mu", "-1e-3")
+    assert code == 0 and err == ""
+    code, _, err = run_cli(capsys, *base, "--beta", "-1e-3")
+    assert code == 2 and "beta must be >= 0" in err
+    code, _, err = run_cli(capsys, *base, "--beta", "0.5", "--innate-mu", "-inf")
+    assert code == 2 and "innate_mu must be finite, got -inf" in err
+
+
+def test_periods_with_a_loose_tol_runs(capsys):
+    # a spill above 1 within tol * ||b||_2 is solver error, not an excursion
+    code, out, err = run_cli(capsys, "periods", "--gen", "ba", "--n", "2000",
+                             "--m", "3", "--alpha", "1", "--beta", "0.5",
+                             "--gamma", "0.05", "--reps", "3", "--tol", "1e-2")
+    assert code == 0 and err == ""
+    assert out.count("stop=radicalized_up") == 3
+
+
 def test_odd_degree_sum_reports_error(capsys):
     code, _, err = run_cli(
         capsys, "equilibrium", "--gen", "dreg", "--n", "9", "--d", "3",

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import fjmedia.graph as graph_module
 from fjmedia import (Graph, gen_barabasi_albert, gen_random_regular,
                      laplacian_apply, load_edge_list, neighbor_sum,
                      write_edge_list)
+from fjmedia.cli import main as cli_main
 from oracles import laplacian as dense_laplacian
 
 
@@ -98,13 +100,27 @@ def test_laplacian_path_indicator():
     assert np.array_equal(laplacian_apply(path3(), [1.0, 0.0, 0.0]), [1.0, -1.0, 0.0])
 
 
+def _with_isolated_nodes():
+    # CSR rows without edges, where np.add.reduceat would return x[start]
+    ba = gen_barabasi_albert(12, 2, seed=1)
+    w = np.linspace(0.5, 2.0, ba.m)
+    # node i of ba becomes label[i]; the 3 labels left out have no edges
+    for label in (np.arange(3, 15), np.r_[0:6, 9:15], np.arange(12)):
+        yield Graph(15, label[ba.edge_u], label[ba.edge_v], w)
+    none = np.empty(0, dtype=np.int64)
+    for n in (1, 4):
+        yield Graph(n, none, none, np.empty(0))
+
+
 def test_laplacian_matches_dense_oracle():
     rng = np.random.default_rng(11)
-    for seed in range(8):
-        g = gen_barabasi_albert(30 + seed, 3, seed=seed)
+    graphs = [gen_barabasi_albert(30 + seed, 3, seed=seed) for seed in range(8)]
+    for g in graphs + list(_with_isolated_nodes()):
         L = dense_laplacian(g)
+        W = np.diag(np.diag(L)) - L
         for _ in range(3):
             x = rng.normal(size=g.n)
+            assert np.allclose(neighbor_sum(g, x), W @ x, atol=1e-10)
             assert np.allclose(laplacian_apply(g, x), L @ x, atol=1e-10)
 
 
@@ -184,6 +200,50 @@ def test_load_handles_crlf(tmp_path):
     p.write_bytes(b"0 1 1.5\r\n1 2\r\n")
     g = load_edge_list(p)
     assert g.edges == [(0, 1, 1.5), (1, 2, 1.0)]
+
+
+# name, file bytes (None: written by `fjmedia generate`), whether numpy's
+# whole-table parse may take the file
+LOADER_CASES = [
+    ("comments and blanks", b"# head # er\n\n5 9\n  \t\n   # indented\n9 7\n7 5\n", True),
+    ("generated, 3 columns", None, True),
+    ("CRLF", b"0 1 1.5\r\n1 2 0.25\r\n", True),
+    ("2 and 3 columns", b"0 1\n1 2 3\n", False),
+    ("id above 2**63", b"0 1\n1 9223372036854775808\n", False),
+    ("negative id", b"0 1\n-1 2\n", False),
+    ("inline #", b"0 1\n1 2 # x\n", False),
+    ("# glued to a weight", b"0 1 1\n1 2 3#\n", False),
+    ("ragged", b"0 1\n1\n", False),
+    ("float id", b"0 1\n1.0 2\n", False),
+    ("non-ASCII digit", "0 1\n1 2\u01fe\n".encode(), False),  # numpy reads it as 482
+    ("inf weight", b"0 1 1\n1 2 inf\n", False),
+    ("duplicate reversed", b"0 1\n1 2\n1 0\n", False),
+    ("empty", b"", False),
+]
+
+
+@pytest.mark.parametrize("name, data, whole_table", LOADER_CASES,
+                         ids=[c[0] for c in LOADER_CASES])
+def test_load_table_parse_matches_the_line_reader(tmp_path, capsys, name, data,
+                                                  whole_table):
+    p = tmp_path / "g.txt"
+    if data is None:
+        assert cli_main(["generate", "--gen", "ba", "--n", "60", "--m", "3",
+                         "--seed", "9", "--out", str(p)]) == 0
+    else:
+        p.write_bytes(data)
+
+    def outcome(load):
+        try:
+            g = load(p)
+        except ValueError as exc:
+            return str(exc)
+        return g.n, [getattr(g, f).tobytes() for f in
+                     ("edge_u", "edge_v", "edge_w", "degree", "indptr", "nbr", "nbr_w")]
+
+    assert outcome(load_edge_list) == outcome(graph_module._load_lines)
+    with open(p, encoding="utf-8") as fh:
+        assert (graph_module._load_table(fh) is not None) == whole_table
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fjmedia.periods as periods_module
 from fjmedia import (Graph, MediaAssignment, MediaConfig, STOP_CAUSES,
                      StopCriteria, alpha_half_limit, assign_media, build_zeta,
                      ell_star, gen_random_regular, run_periods,
@@ -91,6 +92,30 @@ def test_max_periods_stop():
     assert traj.stop_cause == "max_periods"
     assert traj.periods_run == 5
     assert len(traj.records) == 6
+
+
+@pytest.mark.parametrize("spill, raises", [(0.9, False), (1.1, True)])
+def test_opinion_excursion_beyond_the_solve_tolerance_raises(monkeypatch, spill, raises):
+    # a solve within tol leaves z inside tol * ||b||_2 of the exact
+    # equilibrium; more than that above 1 is an error, less is clipped
+    g = gen_random_regular(20, 4, seed=1)
+    s0, config, tol = np.full(20, 0.3), MediaConfig(1.0, 0.5, 0.1), 1e-3
+    real = periods_module.equilibrium_with_media
+
+    def spilling(graph, s, beta, zeta, tol):
+        z = real(graph, s, beta, zeta, tol=tol).copy()
+        rhs = s + beta * (1.0 + graph.degree) * zeta
+        z[3] = 1.0 + spill * tol * np.linalg.norm(rhs)
+        return z
+
+    monkeypatch.setattr(periods_module, "equilibrium_with_media", spilling)
+    stop = StopCriteria(up_threshold=0.99, epsilon=1e-4, max_periods=1)
+    if raises:
+        with pytest.raises(ValueError, match=r"opinions left \[0,1\]"):
+            run_periods(g, s0, config, all_to_M(20), stop, tol=tol)
+    else:
+        traj = run_periods(g, s0, config, all_to_M(20), stop, tol=tol)
+        assert traj.final_state.max() == 1.0
 
 
 def test_assignment_size_checked():
