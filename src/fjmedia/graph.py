@@ -5,7 +5,10 @@ precomputed weighted degree vector, and the symmetrised adjacency in CSR
 (compressed sparse row) form, built once by one sort.  Nothing here ever
 materialises an n x n matrix: ``neighbor_sum`` reduces each CSR row, and
 ``laplacian_apply`` subtracts that from the degree-scaled vector, which is all
-the solvers need.
+the solvers need.  Both take ``out=`` so a solver can reuse its vectors.  The
+graph also derives, once, the ``np.add.reduceat`` starts of its non-empty rows
+and whether every weight is exactly 1.0; on such a graph the kernel skips the
+weight multiply, which changes no bit since x * 1.0 == x.
 
 Node ids are dense 0..n-1.  Only ``Graph`` knows the edge rules; ``load_edge_list``
 parses text, remaps ids by first appearance and names a rejected edge's line.
@@ -65,8 +68,11 @@ class Graph:
     Edges are stored once with ``edge_u[k] < edge_v[k]``; the degree vector and
     the symmetrised adjacency in CSR form are derived at construction.  Row i
     of the CSR holds node i's neighbours ``nbr[indptr[i]:indptr[i+1]]``, sorted
-    by id, with their edge weights ``nbr_w`` alongside.  Arrays are set
-    read-only so instances can be shared freely between runs.
+    by id, with their edge weights ``nbr_w`` alongside.  ``row_starts`` holds
+    the CSR offsets of the rows that have edges; ``nonempty_rows`` masks those
+    rows, or is None when every node has an edge.  ``unit_weights`` is True
+    when every edge weight is exactly 1.0.  Arrays are set read-only so
+    instances can be shared freely between runs.
 
     Construct through :meth:`from_edges`, the generators, or
     :func:`load_edge_list` rather than passing raw arrays.
@@ -80,6 +86,9 @@ class Graph:
     indptr: np.ndarray = field(init=False, repr=False)
     nbr: np.ndarray = field(init=False, repr=False)
     nbr_w: np.ndarray = field(init=False, repr=False)
+    row_starts: np.ndarray = field(init=False, repr=False)
+    nonempty_rows: np.ndarray | None = field(init=False, repr=False)
+    unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -112,11 +121,16 @@ class Graph:
         deg = np.bincount(lo, weights=w, minlength=n) + np.bincount(
             hi, weights=w, minlength=n
         )
+        has_edges = indptr[:-1] < indptr[1:]
         stored = (("edge_u", lo), ("edge_v", hi), ("edge_w", w), ("degree", deg),
-                  ("indptr", indptr), ("nbr", keys), ("nbr_w", w[order]))
+                  ("indptr", indptr), ("nbr", keys), ("nbr_w", w[order]),
+                  ("row_starts", indptr[:-1][has_edges]),
+                  ("nonempty_rows", None if has_edges.all() else has_edges))
         for name, arr in stored:
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "unit_weights", bool(np.all(w == 1.0)))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -184,30 +198,42 @@ def _first_bad_edge(n: int, u, v, w) -> _EdgeError:
     return err
 
 
-def neighbor_sum(graph: Graph, x: np.ndarray) -> np.ndarray:
-    """Weighted neighbor sums ``(W x)_i = sum_j w_ij x_j``, one CSR row each."""
+def neighbor_sum(graph: Graph, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Weighted neighbor sums ``(W x)_i = sum_j w_ij x_j``, one CSR row each.
+
+    Written into ``out`` (a float64 vector of length n) when given.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (graph.n,):
         raise ValueError(f"expected vector of length {graph.n}, got shape {x.shape}")
-    out = np.zeros(graph.n)
-    if graph.m:
-        # reduceat gives an empty row x[start], not 0, so isolated nodes are skipped
-        starts = graph.indptr[:-1]
-        nonempty = starts < graph.indptr[1:]
-        terms = x[graph.nbr]
+    if out is None:
+        out = np.empty(graph.n)
+    elif not (isinstance(out, np.ndarray) and out.shape == x.shape and out.dtype == x.dtype):
+        raise ValueError(f"out must be a float64 vector of length {graph.n}")
+    terms = x[graph.nbr]
+    if not graph.unit_weights:
         terms *= graph.nbr_w
-        out[nonempty] = np.add.reduceat(terms, starts[nonempty])
+    if graph.nonempty_rows is None:
+        np.add.reduceat(terms, graph.row_starts, out=out)
+    else:
+        # reduceat gives an empty row x[start], not 0, so isolated nodes are skipped
+        out.fill(0.0)
+        if graph.m:
+            out[graph.nonempty_rows] = np.add.reduceat(terms, graph.row_starts)
     return out
 
 
-def laplacian_apply(graph: Graph, x: np.ndarray) -> np.ndarray:
+def laplacian_apply(graph: Graph, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the combinatorial Laplacian: ``(L x)_i = d_i x_i - (W x)_i``.
 
     Row sums of L vanish, so ``laplacian_apply`` of a constant vector is zero
-    and ``sum(L x) == 0`` for every x (up to roundoff).
+    and ``sum(L x) == 0`` for every x (up to roundoff).  Written into ``out``
+    when given.
     """
     x = np.asarray(x, dtype=np.float64)
-    return graph.degree * x - neighbor_sum(graph, x)
+    dx = graph.degree * x
+    wx = neighbor_sum(graph, x, out=out)
+    return np.subtract(dx, wx, out=wx)
 
 
 # ---------------------------------------------------------------------------

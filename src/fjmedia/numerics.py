@@ -9,10 +9,17 @@ diagonal spans orders of magnitude and Jacobi cuts the iteration count
 several-fold; on a graph whose diagonal is constant the scaled
 preconditioner is exactly the identity, so the iterates are those of plain
 CG, bit for bit.
+
+A solve allocates its vectors once and updates them in place: every operator
+product goes through ``apply(x, out=...)``, and each in-place update adds and
+multiplies the same operands as the plain expression would, so the iterates
+do not move by a bit.  A right-hand side whose norm overflows, or a CG
+scalar that turns non-finite, stops the solve at once with an error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +35,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when conjugate gradient hits its iteration cap.
+    """Raised when conjugate gradient hits its iteration cap or breaks down.
 
     Carries the iteration count and the last residual so callers can report
     how close the solve got.
@@ -61,9 +68,13 @@ class DiagPlusLaplacianOperator:
         g.setflags(write=False)
         object.__setattr__(self, "gamma_diag", g)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``gamma_diag * x + L x``, written into ``out`` when given."""
         x = np.asarray(x, dtype=np.float64)
-        return self.gamma_diag * x + laplacian_apply(self.graph, x)
+        gx = self.gamma_diag * x
+        out = laplacian_apply(self.graph, x, out=out)
+        out += gx  # (dx - Wx) + gx adds the same two numbers as gx + (dx - Wx)
+        return out
 
 
 @dataclass(frozen=True)
@@ -92,7 +103,9 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10
     not just the CG recursion).  The stop test reads the unpreconditioned
     residual.
     ``max_iter`` defaults to 10n.  Raises :class:`ConvergenceError` if the cap
-    is hit first.
+    is hit first, or as soon as a CG scalar or the residual is not finite;
+    raises ``ValueError`` when ||b||_2 is not finite (it overflows, or b holds
+    inf or nan).
     """
     b = np.asarray(rhs, dtype=np.float64).ravel()
     n = b.size
@@ -100,38 +113,67 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10
         raise ValueError(f"tol must lie in (0, 1), got {tol:g}")
     if max_iter is None:
         max_iter = 10 * n
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return SolveReport(np.zeros(n), 0, 0.0)
+    # an overflow is reported once, as the error below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_norm = float(np.linalg.norm(b))
+        if not math.isfinite(b_norm):
+            raise ValueError(f"conjugate gradient cannot start: ||b||_2 is {b_norm} at "
+                             "iteration 0 (the right-hand side is too large or not finite)")
+        if b_norm == 0.0:
+            return SolveReport(np.zeros(n), 0, 0.0)
+        return _pcg(op, b, b_norm, tol, max_iter)
+
+
+def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float,
+         max_iter: int) -> SolveReport:
+    n = b.size
     diag = op.gamma_diag + op.graph.degree
     # scaled by the largest entry, so a constant diagonal gives exactly 1.0
     inv_diag = diag.max() / diag
     x = np.zeros(n)
     r = b.copy()
     p = inv_diag * r
-    rz = float(r @ p)
+    z, ap, work = np.empty(n), np.empty(n), np.empty(n)
+    rz = _finite("r.z", float(r @ p), 0)
     for k in range(1, max_iter + 1):
-        ap = op.apply(p)
-        alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if np.sqrt(float(r @ r)) <= tol * b_norm:
+        op.apply(p, out=ap)
+        alpha = rz / _finite("p.Ap", float(p @ ap), k)
+        x += np.multiply(alpha, p, out=work)
+        r -= np.multiply(alpha, ap, out=work)
+        if np.sqrt(_finite("r.r", float(r @ r), k)) <= tol * b_norm:
             # the recursion residual drifts from the true one; trust but verify
-            true_res = float(np.linalg.norm(op.apply(x) - b)) / b_norm
+            op.apply(x, out=ap)
+            true_res = _finite("the residual", float(np.linalg.norm(
+                np.subtract(ap, b, out=work))) / b_norm, k)
             if true_res <= tol:
                 return SolveReport(x, k, true_res)
-            r = b - op.apply(x)
-            p = inv_diag * r
-            rz = float(r @ p)
+            op.apply(x, out=ap)
+            np.subtract(b, ap, out=r)
+            np.multiply(inv_diag, r, out=p)
+            rz = _finite("r.z", float(r @ p), k)
             continue
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        np.multiply(inv_diag, r, out=z)
+        rz_new = _finite("r.z", float(r @ z), k)
+        p *= rz_new / rz  # then z + p, the same sum as z + (rz_new / rz) * p
+        p += z
         rz = rz_new
-    final = float(np.linalg.norm(op.apply(x) - b)) / b_norm
+    op.apply(x, out=ap)
+    final = float(np.linalg.norm(np.subtract(ap, b, out=work))) / b_norm
     raise ConvergenceError(
         f"conjugate gradient did not reach tol={tol:g} in {max_iter} iterations "
         f"(residual {final:.3e})",
         iterations=max_iter,
         residual=final,
     )
+
+
+def _finite(name: str, value: float, iteration: int) -> float:
+    # a non-finite CG scalar only ever spreads, so the solve stops on the spot
+    if not math.isfinite(value):
+        raise ConvergenceError(
+            f"conjugate gradient broke down: {name} is {value} at iteration "
+            f"{iteration} (the system's entries are too large)",
+            iterations=iteration,
+            residual=math.nan,
+        )
+    return value

@@ -285,13 +285,28 @@ def test_missing_required_flag_exits(capsys):
 # module entry point
 
 
-def test_module_invocation():
+def _run_module(*argv, timeout=None):
     # the child imports the same fjmedia as this process, installed or not
     src = str(Path(fjmedia.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fjmedia", "generate", "--gen", "dreg",
-         "--n", "6", "--d", "2", "--seed", "0"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run(
+        [sys.executable, "-m", "fjmedia", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
+
+
+def test_module_invocation():
+    proc = _run_module("generate", "--gen", "dreg", "--n", "6", "--d", "2", "--seed", "0")
     assert proc.returncode == 0
     assert proc.stdout.startswith("# fjmedia generate:")
+
+
+def test_overflowing_media_strength_exits_before_any_cg_iteration():
+    # ||b|| overflows; the solve used to run to its cap of 10n iterations
+    # and only then report a nan residual
+    proc = _run_module("equilibrium", "--gen", "dreg", "--n", "5000", "--d", "20",
+                       "--alpha", "0.9", "--beta", "1e300", "--gamma", "0.1",
+                       "--reps", "1", timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "error: repetition 0: " in proc.stderr
+    assert "||b||_2 is inf at iteration 0" in proc.stderr

@@ -6,6 +6,7 @@ from fjmedia import (Graph, gen_barabasi_albert, gen_random_regular,
                      laplacian_apply, load_edge_list, neighbor_sum,
                      write_edge_list)
 from fjmedia.cli import main as cli_main
+from graph_cases import KERNEL_GRAPHS
 from oracles import laplacian as dense_laplacian
 
 
@@ -100,28 +101,45 @@ def test_laplacian_path_indicator():
     assert np.array_equal(laplacian_apply(path3(), [1.0, 0.0, 0.0]), [1.0, -1.0, 0.0])
 
 
-def _with_isolated_nodes():
-    # CSR rows without edges, where np.add.reduceat would return x[start]
-    ba = gen_barabasi_albert(12, 2, seed=1)
-    w = np.linspace(0.5, 2.0, ba.m)
-    # node i of ba becomes label[i]; the 3 labels left out have no edges
-    for label in (np.arange(3, 15), np.r_[0:6, 9:15], np.arange(12)):
-        yield Graph(15, label[ba.edge_u], label[ba.edge_v], w)
-    none = np.empty(0, dtype=np.int64)
-    for n in (1, 4):
-        yield Graph(n, none, none, np.empty(0))
-
-
 def test_laplacian_matches_dense_oracle():
+    # graphs with isolated nodes or no edges: the KERNEL_GRAPHS test below
     rng = np.random.default_rng(11)
-    graphs = [gen_barabasi_albert(30 + seed, 3, seed=seed) for seed in range(8)]
-    for g in graphs + list(_with_isolated_nodes()):
+    for g in [gen_barabasi_albert(30 + seed, 3, seed=seed) for seed in range(8)]:
         L = dense_laplacian(g)
         W = np.diag(np.diag(L)) - L
         for _ in range(3):
             x = rng.normal(size=g.n)
             assert np.allclose(neighbor_sum(g, x), W @ x, atol=1e-10)
             assert np.allclose(laplacian_apply(g, x), L @ x, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+def test_out_gives_the_same_bits_and_matches_the_dense_oracle(name):
+    g = KERNEL_GRAPHS[name]()
+    L = dense_laplacian(g)
+    W = np.diag(np.diag(L)) - L
+    x = np.random.default_rng(5).normal(size=g.n)
+    for kernel, dense in ((neighbor_sum, W), (laplacian_apply, L)):
+        want = kernel(g, x)
+        buf = np.full(g.n, np.nan)
+        got = kernel(g, x, out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes(), kernel.__name__
+        assert np.allclose(want, dense @ x, atol=1e-10), kernel.__name__
+
+
+def test_unit_weights_is_derived_from_the_weights():
+    assert KERNEL_GRAPHS["unit dreg"]().unit_weights
+    assert KERNEL_GRAPHS["no edges, n=4"]().unit_weights
+    assert not KERNEL_GRAPHS["weights 2.0"]().unit_weights
+    assert not KERNEL_GRAPHS["mixed weights"]().unit_weights
+
+
+def test_out_must_be_a_float64_vector_of_length_n():
+    g = path3()
+    for bad in (np.empty(2), np.empty(3, dtype=np.float32), np.empty((3, 1)), [0.0] * 3):
+        with pytest.raises(ValueError, match="out must be"):
+            neighbor_sum(g, np.ones(3), out=bad)
 
 
 def test_laplacian_psd_and_zero_row_sums():

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fjmedia import (ConvergenceError, DiagPlusLaplacianOperator, Graph,
                      SolveReport, gen_barabasi_albert,
                      gen_random_regular, solve_spd)
+from graph_cases import KERNEL_GRAPHS
 from oracles import laplacian as dense_laplacian
 from oracles import plain_cg
 from oracles import solve as dense_solve
@@ -31,6 +34,21 @@ def test_operator_apply_matches_dense():
         A = np.diag(gamma) + dense_laplacian(g)
         x = rng.normal(size=g.n)
         assert np.allclose(op.apply(x), A @ x, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+def test_operator_apply_out_gives_the_same_bits_and_matches_dense(name):
+    g = KERNEL_GRAPHS[name]()
+    rng = np.random.default_rng(2)
+    gamma = rng.uniform(0.1, 3.0, g.n)
+    op = DiagPlusLaplacianOperator(g, gamma)
+    x = rng.normal(size=g.n)
+    want = op.apply(x)
+    buf = np.full(g.n, np.nan)
+    got = op.apply(x, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
+    assert np.allclose(want, (np.diag(gamma) + dense_laplacian(g)) @ x, atol=1e-10)
 
 
 def test_operator_rejects_nonpositive_gamma():
@@ -118,6 +136,27 @@ def test_max_iter_exhaustion_raises_with_residual():
     err = exc_info.value
     assert err.iterations == 2
     assert err.residual > 0
+
+
+def test_overflowing_rhs_stops_before_the_first_iteration():
+    op = DiagPlusLaplacianOperator(path3(), np.ones(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error says it, not a numpy warning
+        with pytest.raises(ValueError, match=r"\|\|b\|\|_2 is inf at iteration 0"):
+            solve_spd(op, np.full(3, 1e300))
+        with pytest.raises(ValueError, match=r"\|\|b\|\|_2 is nan at iteration 0"):
+            solve_spd(op, np.array([1.0, np.nan, 0.0]))
+
+
+def test_overflowing_cg_scalar_stops_at_its_iteration():
+    # ||b|| is finite, but A p = 1e200 * 1e150 overflows in the first product
+    g = gen_random_regular(40, 4, seed=2)
+    op = DiagPlusLaplacianOperator(g, np.full(g.n, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"p\.Ap is inf at iteration 1") as exc_info:
+            solve_spd(op, np.full(g.n, 1e150))
+    assert exc_info.value.iterations == 1
 
 
 def _fj_and_media_operators(g, beta):
