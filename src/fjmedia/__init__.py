@@ -23,7 +23,7 @@ from .harness import (CSV_COLUMNS, ExperimentConfig, GraphSpec, MODES,
                       RunManifest, config_from_manifest, rows_to_csv,
                       run_experiment, sample_innate)
 
-__version__ = "0.1.4"
+__version__ = "0.1.5"
 
 __all__ = [
     "Graph", "GraphStats", "gen_barabasi_albert", "gen_random_regular",

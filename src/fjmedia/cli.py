@@ -103,9 +103,7 @@ def _cmd_generate(args) -> int:
         write_edge_list(graph, args.out, comment=comment)
         print(f"wrote {graph.n} nodes / {graph.m} edges to {args.out}")
     else:
-        print(f"# {comment}")
-        for u, v, w in graph.edges:
-            print(f"{u} {v} {w:.17g}")
+        write_edge_list(graph, sys.stdout, comment=comment)
     return 0
 
 

@@ -1,14 +1,19 @@
 """Weighted undirected graphs with matrix-free Laplacian products.
 
 A graph is stored as flat edge arrays (one row per undirected edge), a
-precomputed weighted degree vector, and the symmetrised adjacency in CSR
-(compressed sparse row) form, built once by one sort.  Nothing here ever
-materialises an n x n matrix: ``neighbor_sum`` reduces each CSR row, and
-``laplacian_apply`` subtracts that from the degree-scaled vector, which is all
-the solvers need.  Both take ``out=`` so a solver can reuse its vectors.  The
-graph also derives, once, the ``np.add.reduceat`` starts of its non-empty rows
-and whether every weight is exactly 1.0; on such a graph the kernel skips the
-weight multiply, which changes no bit since x * 1.0 == x.
+precomputed weighted degree vector, and the symmetrised adjacency split in
+two, both built once from one sort.  With K the smallest row length, the
+*head* is a (K, n) ELLPACK block whose column i holds node i's K smallest
+neighbour ids; the *tail* holds the rest of each longer row, row by row
+(Saad, *Iterative Methods for Sparse Linear Systems*, section 3.4; the split
+is that of SELL-C-sigma).  ``neighbor_sum`` adds the head one row of n
+gathers at a time, left to right, and then each tail row with one
+``np.add.reduceat``: a regular graph has no tail, and a graph with an
+isolated node has K = 0 and no head.  ``laplacian_apply`` subtracts that sum
+from the degree-scaled vector, which is all the solvers need; both take
+``out=`` so a solver can reuse its vectors.  Per-entry weights are stored
+only when some weight is not exactly 1.0, so a unit-weight graph skips the
+weight multiply.
 
 Node ids are dense 0..n-1.  Only ``Graph`` knows the edge rules; ``load_edge_list``
 parses text, remaps ids by first appearance and names a rejected edge's line.
@@ -20,7 +25,6 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -66,13 +70,16 @@ class Graph:
     """Immutable weighted undirected graph.
 
     Edges are stored once with ``edge_u[k] < edge_v[k]``; the degree vector and
-    the symmetrised adjacency in CSR form are derived at construction.  Row i
-    of the CSR holds node i's neighbours ``nbr[indptr[i]:indptr[i+1]]``, sorted
-    by id, with their edge weights ``nbr_w`` alongside.  ``row_starts`` holds
-    the CSR offsets of the rows that have edges; ``nonempty_rows`` masks those
-    rows, or is None when every node has an edge.  ``unit_weights`` is True
-    when every edge weight is exactly 1.0.  Arrays are set read-only so
-    instances can be shared freely between runs.
+    the symmetrised adjacency are derived at construction.  With K the
+    smallest row length, ``head`` is a (K, n) array whose ``head[k, i]`` is
+    node i's k-th smallest neighbour id.  ``tail`` holds the remaining
+    neighbours of every row longer than K, row by row and sorted by id: node
+    i's are ``tail[tail_ptr[i]:tail_ptr[i+1]]``.  ``tail_rows`` lists the
+    nodes that have tail entries and ``tail_starts`` the offsets of their
+    runs in ``tail``.  ``head_w`` and ``tail_w`` hold the edge weights
+    alongside, or are None when ``unit_weights`` is True (every edge weight
+    is exactly 1.0).  Arrays are set read-only so instances can be shared
+    freely between runs.
 
     Construct through :meth:`from_edges`, the generators, or
     :func:`load_edge_list` rather than passing raw arrays.
@@ -83,11 +90,13 @@ class Graph:
     edge_v: np.ndarray
     edge_w: np.ndarray
     degree: np.ndarray = field(init=False)
-    indptr: np.ndarray = field(init=False, repr=False)
-    nbr: np.ndarray = field(init=False, repr=False)
-    nbr_w: np.ndarray = field(init=False, repr=False)
-    row_starts: np.ndarray = field(init=False, repr=False)
-    nonempty_rows: np.ndarray | None = field(init=False, repr=False)
+    head: np.ndarray = field(init=False, repr=False)
+    head_w: np.ndarray | None = field(init=False, repr=False)
+    tail: np.ndarray = field(init=False, repr=False)
+    tail_w: np.ndarray | None = field(init=False, repr=False)
+    tail_ptr: np.ndarray = field(init=False, repr=False)
+    tail_rows: np.ndarray = field(init=False, repr=False)
+    tail_starts: np.ndarray = field(init=False, repr=False)
     unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -104,11 +113,11 @@ class Graph:
                            and not (np.any(~np.isfinite(w)) or np.any(w <= 0))):
             raise _first_bad_edge(n, u, v, w)
         # each edge gives the directed entries (u, v) and (v, u); one sort of
-        # their keys row*n + col gives the CSR, and a pair given twice in
-        # either orientation shows as two equal adjacent keys
+        # their keys row*n + col lists every row's neighbours in id order,
+        # and a pair given twice in either orientation shows as two equal
+        # adjacent keys
         keys = np.concatenate([u, v])  # the rows, until scaled in place
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+        counts = np.bincount(keys, minlength=n)
         keys *= n
         keys += np.concatenate([v, u])
         order = np.argsort(keys)
@@ -117,20 +126,39 @@ class Graph:
             raise _first_bad_edge(n, u, v, w)
         keys %= n  # now the neighbour ids
         order %= u.size  # directed key k came from edge k mod m
+        unit = bool(np.all(w == 1.0))
+        # row i starts at sorted position row_start[i]; its first K entries
+        # go to the head, the rest to the tail.  The head is filled a row at
+        # a time: one (K, n) index array would raise peak memory by up to
+        # 16 bytes per edge
+        k_min = int(counts.min())
+        row_start = np.cumsum(counts) - counts
+        head = np.empty((k_min, n), dtype=np.int64)
+        head_w = None if unit else np.empty((k_min, n))
+        in_tail = np.ones(keys.size, dtype=bool)
+        for k in range(k_min):
+            at = row_start + k
+            head[k] = keys[at]
+            if head_w is not None:
+                head_w[k] = w[order[at]]
+            in_tail[at] = False
+        tail_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts - k_min, out=tail_ptr[1:])
+        tail_rows = np.flatnonzero(counts > k_min)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         deg = np.bincount(lo, weights=w, minlength=n) + np.bincount(
             hi, weights=w, minlength=n
         )
-        has_edges = indptr[:-1] < indptr[1:]
         stored = (("edge_u", lo), ("edge_v", hi), ("edge_w", w), ("degree", deg),
-                  ("indptr", indptr), ("nbr", keys), ("nbr_w", w[order]),
-                  ("row_starts", indptr[:-1][has_edges]),
-                  ("nonempty_rows", None if has_edges.all() else has_edges))
+                  ("head", head), ("tail", keys[in_tail]), ("head_w", head_w),
+                  ("tail_w", None if unit else w[order[in_tail]]),
+                  ("tail_ptr", tail_ptr), ("tail_rows", tail_rows),
+                  ("tail_starts", tail_ptr[tail_rows]))
         for name, arr in stored:
             if arr is not None:
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "unit_weights", bool(np.all(w == 1.0)))
+        object.__setattr__(self, "unit_weights", unit)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -148,19 +176,17 @@ class Graph:
     def m(self) -> int:
         return int(self.edge_u.size)
 
-    @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(a), int(b), float(c))
-            for a, b, c in zip(self.edge_u, self.edge_v, self.edge_w)
-        ]
-
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         """Neighbors of node ``i`` with edge weights, sorted by neighbor id."""
         if not 0 <= i < self.n:
             raise ValueError(f"node {i} out of range")
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return [(int(j), float(w)) for j, w in zip(self.nbr[lo:hi], self.nbr_w[lo:hi])]
+        rest = slice(self.tail_ptr[i], self.tail_ptr[i + 1])
+        ids = np.concatenate([self.head[:, i], self.tail[rest]])
+        if self.unit_weights:
+            weights = np.ones(ids.size)
+        else:
+            weights = np.concatenate([self.head_w[:, i], self.tail_w[rest]])
+        return [(int(j), float(w)) for j, w in zip(ids, weights)]
 
     @cached_property
     def stats(self) -> GraphStats:
@@ -199,9 +225,12 @@ def _first_bad_edge(n: int, u, v, w) -> _EdgeError:
 
 
 def neighbor_sum(graph: Graph, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Weighted neighbor sums ``(W x)_i = sum_j w_ij x_j``, one CSR row each.
+    """Weighted neighbor sums ``(W x)_i = sum_j w_ij x_j``.
 
-    Written into ``out`` (a float64 vector of length n) when given.
+    Each node's K head neighbours are added left to right, one head row of n
+    gathers at a time, and then its tail run, reduced by ``np.add.reduceat``.
+    Written into ``out`` (a float64 vector of length n, not overlapping
+    ``x``) when given.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (graph.n,):
@@ -210,16 +239,26 @@ def neighbor_sum(graph: Graph, x: np.ndarray, out: np.ndarray | None = None) -> 
         out = np.empty(graph.n)
     elif not (isinstance(out, np.ndarray) and out.shape == x.shape and out.dtype == x.dtype):
         raise ValueError(f"out must be a float64 vector of length {graph.n}")
-    terms = x[graph.nbr]
-    if not graph.unit_weights:
-        terms *= graph.nbr_w
-    if graph.nonempty_rows is None:
-        np.add.reduceat(terms, graph.row_starts, out=out)
-    else:
-        # reduceat gives an empty row x[start], not 0, so isolated nodes are skipped
+    elif np.may_share_memory(out, x):
+        raise ValueError("out must not overlap x")
+    head, head_w = graph.head, graph.head_w
+    if head.shape[0]:
+        # mode="wrap" skips the bounds-check buffer; every id is in range
+        np.take(x, head[0], out=out, mode="wrap")
+        if head_w is not None:
+            out *= head_w[0]
+    else:  # an isolated node leaves K = 0
         out.fill(0.0)
-        if graph.m:
-            out[graph.nonempty_rows] = np.add.reduceat(terms, graph.row_starts)
+    for k in range(1, head.shape[0]):
+        terms = x[head[k]]
+        if head_w is not None:
+            terms *= head_w[k]
+        out += terms
+    if graph.tail_rows.size:
+        terms = x[graph.tail]
+        if graph.tail_w is not None:
+            terms *= graph.tail_w
+        out[graph.tail_rows] += np.add.reduceat(terms, graph.tail_starts)
     return out
 
 
@@ -368,14 +407,24 @@ def _load_lines(path) -> Graph:
 
 
 def write_edge_list(graph: Graph, path, comment: str | None = None) -> None:
-    """Write ``u v w`` lines (0-based ids), optionally preceded by a comment."""
-    path = Path(path)
+    """Write ``u v w`` lines (0-based ids), optionally preceded by a comment.
+
+    ``path`` is a file path, or a text stream (anything with ``write``) that
+    is written to and left open.
+    """
+    if hasattr(path, "write"):
+        _write_edge_lines(graph, path, comment)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        for a, b, c in zip(graph.edge_u, graph.edge_v, graph.edge_w):
-            fh.write(f"{int(a)} {int(b)} {c:.17g}\n")
+        _write_edge_lines(graph, fh, comment)
+
+
+def _write_edge_lines(graph: Graph, fh, comment: str | None) -> None:
+    if comment:
+        for line in comment.splitlines():
+            fh.write(f"# {line}\n")
+    for a, b, c in zip(graph.edge_u, graph.edge_v, graph.edge_w):
+        fh.write(f"{int(a)} {int(b)} {c:.17g}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def equilibrium_with_media(graph: Graph, s: np.ndarray, beta: float,
 
     where zeta_i is the opinion of the source node i follows.  beta = 0
     reduces to the plain FJ equilibrium; s == zeta == c*1 returns the
-    consensus c.
+    consensus c.  A beta for which beta * (1 + d_max) overflows is rejected.
     """
     s = opinion_vector(s, graph.n)
     zeta = np.asarray(zeta, dtype=np.float64).ravel()
@@ -183,6 +183,10 @@ def equilibrium_with_media(graph: Graph, s: np.ndarray, beta: float,
         raise ValueError("zeta must match the graph size")
     if not (np.isfinite(beta) and beta >= 0.0):
         raise ValueError("beta must be >= 0")
+    d_max = graph.stats.d_max
+    if not math.isfinite(float(beta) * (1.0 + d_max)):
+        raise ValueError(f"beta {beta:g} is too large: beta * (1 + d_max) overflows "
+                         f"at d_max = {d_max:g}")
     media_weight = beta * (1.0 + graph.degree)
     # diagonal (1 + beta) + beta d_i written as 1 + beta (1 + d_i)
     op = DiagPlusLaplacianOperator(graph, 1.0 + media_weight)

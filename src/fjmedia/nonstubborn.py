@@ -54,8 +54,8 @@ def nonstubborn_equilibrium(graph: Graph, s: np.ndarray, config: MediaConfig,
         raise ValueError("non-stubborn mode requires alpha = 1")
     s = opinion_vector(s, graph.n)
     n = graph.n
-    w = config.beta * (1.0 + graph.degree)
     b = equilibrium_with_media(graph, np.zeros(n), config.beta, np.ones(n), tol=tol)
+    w = config.beta * (1.0 + graph.degree)  # finite: the solve above checked it
     s_M = source_opinions(s, config.gamma).z_M
     z_M = (s_M + float(b @ s)) / (1.0 + float(w.sum()) - float(w @ b))
     z = equilibrium_with_media(graph, s, config.beta, np.full(n, z_M), tol=tol)

@@ -14,7 +14,9 @@ A solve allocates its vectors once and updates them in place: every operator
 product goes through ``apply(x, out=...)``, and each in-place update adds and
 multiplies the same operands as the plain expression would, so the iterates
 do not move by a bit.  A right-hand side whose norm overflows, or a CG
-scalar that turns non-finite, stops the solve at once with an error.
+scalar that turns non-finite, stops the solve at once with an error; one
+whose norm would underflow is solved scaled up by a power of two, which is
+exact.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ __all__ = [
     "ConvergenceError",
     "solve_spd",
 ]
+
+# below this max|b|, the squares in ||b||_2 can underflow to 0
+_TINY = 2.0 ** -500
 
 
 class ConvergenceError(RuntimeError):
@@ -105,7 +110,8 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10
     ``max_iter`` defaults to 10n.  Raises :class:`ConvergenceError` if the cap
     is hit first, or as soon as a CG scalar or the residual is not finite;
     raises ``ValueError`` when ||b||_2 is not finite (it overflows, or b holds
-    inf or nan).
+    inf or nan).  A right-hand side whose largest entry is below 2**-500 is
+    solved scaled up by a power of two, since its norm would underflow to 0.
     """
     b = np.asarray(rhs, dtype=np.float64).ravel()
     n = b.size
@@ -115,6 +121,14 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10
         max_iter = 10 * n
     # an overflow is reported once, as the error below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        b_max = float(np.abs(b).max(initial=0.0))
+        if 0.0 < b_max < _TINY:
+            # ||b||_2 would underflow to 0; solve for b * 2**k and scale back,
+            # both exact, with the same iterations and relative residual
+            k = -math.frexp(b_max)[1]
+            scaled = solve_spd(op, np.ldexp(b, k), tol, max_iter)
+            return SolveReport(np.ldexp(scaled.solution, -k), scaled.iterations,
+                               scaled.residual)
         b_norm = float(np.linalg.norm(b))
         if not math.isfinite(b_norm):
             raise ValueError(f"conjugate gradient cannot start: ||b||_2 is {b_norm} at "

@@ -10,9 +10,15 @@ package only through the operator's ``apply``.
 import numpy as np
 
 
+def edge_tuples(graph):
+    """The graph's edges as ``(u, v, w)`` tuples of Python numbers, in input order."""
+    return [(int(u), int(v), float(w))
+            for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w)]
+
+
 def adjacency(graph):
     W = np.zeros((graph.n, graph.n))
-    for u, v, w in graph.edges:
+    for u, v, w in edge_tuples(graph):
         W[u, v] += w
         W[v, u] += w
     return W

@@ -33,6 +33,14 @@ def test_generate_stdout(capsys):
     assert float(w) == 1.0 and int(u) != int(v)
 
 
+def test_generate_stdout_bytes_equal_the_out_file(tmp_path, capsys):
+    flags = ["generate", "--gen", "ba", "--n", "40", "--m", "3", "--seed", "2"]
+    code, out, _ = run_cli(capsys, *flags)
+    path = tmp_path / "net.edges"
+    assert code == 0 and run_cli(capsys, *flags, "--out", str(path))[0] == 0
+    assert out.encode() == path.read_bytes()
+
+
 def test_generate_to_file_roundtrips(tmp_path, capsys):
     path = tmp_path / "net.edges"
     code, out, _ = run_cli(capsys, "generate", "--gen", "ba", "--n", "30",
@@ -281,6 +289,20 @@ def test_missing_required_flag_exits(capsys):
               "--beta", "0.5", "--gamma", "0.1"])  # no --alpha
 
 
+def test_tiny_innate_opinions_keep_their_sum(tmp_path, capsys):
+    # ||s||_2 underflows to 0 here; the solve used to return the zero vector
+    out = tmp_path / "tiny.csv"
+    code, _, _ = run_cli(
+        capsys, "equilibrium", "--gen", "dreg", "--n", "30", "--d", "4",
+        "--alpha", "0.9", "--beta", "0.5", "--gamma", "0.1", "--innate-mu", "1e-170",
+        "--innate-var", "0", "--reps", "1", "--out", str(out))
+    assert code == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    exact = float(row["exact_if_regular"])
+    assert exact > 0
+    assert math.isclose(float(row["sum_z"]), exact, rel_tol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 
@@ -310,3 +332,14 @@ def test_overflowing_media_strength_exits_before_any_cg_iteration():
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert "error: repetition 0: " in proc.stderr
     assert "||b||_2 is inf at iteration 0" in proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["equilibrium", "periods", "nonstubborn"])
+def test_beta_whose_media_weight_overflows_names_beta(mode):
+    alpha = [] if mode == "nonstubborn" else ["--alpha", "0.9"]
+    proc = _run_module(mode, "--gen", "dreg", "--n", "50", "--d", "4", *alpha,
+                       "--beta", "1e308", "--gamma", "0.1", "--reps", "1", timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "error: repetition 0: beta 1e+308 is too large: " in proc.stderr
+    assert "beta * (1 + d_max) overflows" in proc.stderr

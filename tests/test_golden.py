@@ -1,9 +1,10 @@
 """CSV goldens: the first three written by fjmedia 0.1.3, before the CSR
 kernel, and the two file runs by 0.1.4, before the in-place operator.
 
-A CSR row adds its terms in another order than the edge scatter did, so a
-column that comes out of a solve may move at roundoff level; it is compared
-at 1e-12 relative.  Every other column, and the row count, stays byte for
+A CSR row adds its terms in another order than the edge scatter did, and
+the head-then-tail sum of 0.1.5 in another order again, so a column that
+comes out of a solve may move at roundoff level; it is compared at 1e-12
+relative.  Every other column, and the row count, stays byte for
 byte.  The file runs read ``weighted.edges`` (mixed weights, so the kernel's
 weight multiply stays covered) and ``regular.edges`` (a 6-regular graph with
 unit weights, where the kernel skips it).

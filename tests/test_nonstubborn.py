@@ -4,7 +4,7 @@ import pytest
 from fjmedia import (Graph, MediaConfig, fj_equilibrium, gen_barabasi_albert,
                      gen_random_regular, nonstubborn_equilibrium,
                      source_opinions)
-from oracles import adjacency, fj_matrix
+from oracles import adjacency, edge_tuples, fj_matrix
 from oracles import solve as dense_solve
 
 
@@ -24,7 +24,7 @@ def augmented_oracle(g, s, config):
     n = g.n
     d = adjacency(g).sum(axis=1)
     s_M = min((1.0 + config.gamma) * float(np.mean(s)), 1.0)
-    aug = Graph.from_edges(n + 1, list(g.edges) + [
+    aug = Graph.from_edges(n + 1, edge_tuples(g) + [
         (i, n, config.beta * (1.0 + d[i])) for i in range(n)
         if config.beta > 0.0])
     want = dense_solve(fj_matrix(aug), np.append(s, s_M))

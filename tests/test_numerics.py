@@ -148,6 +148,19 @@ def test_overflowing_rhs_stops_before_the_first_iteration():
             solve_spd(op, np.array([1.0, np.nan, 0.0]))
 
 
+def test_rhs_whose_norm_underflows_is_solved_scaled():
+    # every square in ||b||_2 underflows; the answer is 2**-600 times that of
+    # the scaled right-hand side, to the bit, in as many iterations
+    g = gen_barabasi_albert(60, 2, seed=3)
+    op = DiagPlusLaplacianOperator(g, np.full(g.n, 0.5))
+    b = np.random.default_rng(8).uniform(0.0, 1.0, g.n)
+    tiny = np.ldexp(b, -600)
+    assert np.linalg.norm(tiny) == 0.0
+    rep, ref = solve_spd(op, tiny), solve_spd(op, b)
+    assert np.array_equal(rep.solution, np.ldexp(ref.solution, -600))
+    assert (rep.iterations, rep.residual) == (ref.iterations, ref.residual)
+
+
 def test_overflowing_cg_scalar_stops_at_its_iteration():
     # ||b|| is finite, but A p = 1e200 * 1e150 overflows in the first product
     g = gen_random_regular(40, 4, seed=2)
