@@ -436,7 +436,10 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
 
     Each node m..n-1 picks m distinct existing targets with probability
     proportional to current degree (sampling without replacement from a
-    degree-weighted urn).  Unit weights.  Deterministic for a fixed seed.
+    degree-weighted urn).  Unit weights.  Deterministic for a fixed seed: each
+    urn index is the one ``rng.integers(len(urn))`` on ``default_rng(seed)``
+    would give (see :func:`_index_draws`), so the edges and their order depend
+    on the seed alone.  The urn must stay below 2**32 entries.
 
     Edge count is m(m-1)/2 + (n-m)m.
     """
@@ -444,32 +447,64 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
         raise ValueError("m must be >= 1")
     if m >= n:
         raise ValueError("m must be < n")
-    rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
-    urn: list[int] = []  # one entry per unit of degree
-    for j in range(m):
-        for i in range(j):
-            edges.append((i, j))
-    for node in range(m):
-        urn.extend([node] * (m - 1))
+    if m * (m - 1) + 2 * m * (n - m) >= 2**32:
+        raise ValueError(f"n = {n} and m = {m} need a degree urn of 2**32 or more "
+                         f"entries; the generator draws urn indices below 2**32")
+    draw = _index_draws(np.random.default_rng(seed))
+    # edge k runs from targets[k] to sources[k]: the K_m core, then each
+    # node's m targets in the order they were drawn
+    targets = [i for j in range(m) for i in range(j)]
+    sources = [j for j in range(m) for _ in range(j)]
+    urn = [node for node in range(m) for _ in range(m - 1)]  # one entry per unit of degree
     for source in range(m, n):
         if urn:
-            targets: list[int] = []
+            picked: list[int] = []
             chosen: set[int] = set()
-            while len(targets) < m:
-                t = urn[int(rng.integers(len(urn)))]
+            while len(picked) < m:
+                t = urn[draw(len(urn))]
                 if t not in chosen:
                     chosen.add(t)
-                    targets.append(t)
+                    picked.append(t)
         else:
             # m == 1 leaves K_1 with no degree mass; the only legal target
-            targets = list(range(source))
-        for t in targets:
-            edges.append((t, source))
-        urn.extend(targets)
+            picked = list(range(source))
+        targets.extend(picked)
+        sources.extend([source] * m)
+        urn.extend(picked)
         urn.extend([source] * m)
-    arr = np.array(edges, dtype=np.int64)
-    return Graph(n, arr[:, 0], arr[:, 1], np.ones(arr.shape[0]))
+    return Graph(n, np.array(targets, dtype=np.int64), np.array(sources, dtype=np.int64),
+                 np.ones(len(targets)))
+
+
+_WORD_BLOCK = 4096  # 32-bit words fetched at a time, held as Python ints of about 40 bytes each
+
+
+def _index_draws(rng: np.random.Generator):
+    """A function ``draw(k)`` giving, call for call, ``int(rng.integers(k))``.
+
+    For 1 <= k < 2**32 numpy turns one 32-bit word x of the generator into
+    ``(x * k) >> 32`` and draws again while the low 32 bits of ``x * k`` fall
+    below ``(2**32 - k) % k`` (Lemire's multiply-shift rejection); k == 1
+    takes no word.  The words come from ``rng`` in blocks, so ``rng`` itself
+    runs ahead of the draws and is for this function alone.
+    """
+    words: list[int] = []
+    pos = 0
+
+    def draw(k: int) -> int:
+        nonlocal words, pos
+        if k == 1:
+            return 0
+        while True:
+            if pos == len(words):
+                words = rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32).tolist()
+                pos = 0
+            prod = words[pos] * k
+            pos += 1
+            if prod & 0xFFFFFFFF >= (2**32 - k) % k:
+                return prod >> 32
+
+    return draw
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:

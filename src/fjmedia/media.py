@@ -167,6 +167,17 @@ def build_zeta(assignment: MediaAssignment, z_M: float, z_Mprime: float) -> np.n
     return np.where(assignment.attached_to_M, float(z_M), float(z_Mprime))
 
 
+def check_media_weight(beta: float, d_max: float) -> None:
+    """Reject a beta for which the largest media weight beta * (1 + d_max) overflows.
+
+    Every solve and closed form forms that weight; past the float range it
+    would turn into inf and nan without an error.
+    """
+    if not math.isfinite(float(beta) * (1.0 + d_max)):
+        raise ValueError(f"beta {beta:g} is too large: beta * (1 + d_max) overflows "
+                         f"at d_max = {d_max:g}")
+
+
 def equilibrium_with_media(graph: Graph, s: np.ndarray, beta: float,
                            zeta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Equilibrium under media influence, by conjugate gradient on
@@ -183,10 +194,7 @@ def equilibrium_with_media(graph: Graph, s: np.ndarray, beta: float,
         raise ValueError("zeta must match the graph size")
     if not (np.isfinite(beta) and beta >= 0.0):
         raise ValueError("beta must be >= 0")
-    d_max = graph.stats.d_max
-    if not math.isfinite(float(beta) * (1.0 + d_max)):
-        raise ValueError(f"beta {beta:g} is too large: beta * (1 + d_max) overflows "
-                         f"at d_max = {d_max:g}")
+    check_media_weight(beta, graph.stats.d_max)
     media_weight = beta * (1.0 + graph.degree)
     # diagonal (1 + beta) + beta d_i written as 1 + beta (1 + d_i)
     op = DiagPlusLaplacianOperator(graph, 1.0 + media_weight)
@@ -206,6 +214,7 @@ def sum_bounds(graph: Graph, s: np.ndarray, config: MediaConfig) -> SumBounds:
                          "sum_bounds only covers the uncapped case")
     sum_s = float(s.sum())
     stats = graph.stats
+    check_media_weight(config.beta, stats.d_max)
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
     swing = (2.0 * alpha - 1.0) * gamma + 1.0
     lower = (1.0 + (stats.d_min + 1.0) * beta * swing) / (beta * (stats.d_max + 1.0) + 1.0) * sum_s
@@ -228,6 +237,7 @@ def truncated_regular_sum(d: float, n: int, sum_s: float, config: MediaConfig) -
         raise ValueError("n must be >= 1")
     if d < 0:
         raise ValueError("d must be >= 0")
+    check_media_weight(config.beta, d)
     b = config.beta * (1.0 + d)
     return ((1.0 + b * (1.0 - config.alpha) * (1.0 - config.gamma)) * sum_s
             + config.alpha * b * n) / (1.0 + b)

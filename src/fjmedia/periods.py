@@ -17,7 +17,7 @@ import numpy as np
 
 from .fj import opinion_vector
 from .graph import Graph
-from .media import (MediaAssignment, MediaConfig, build_zeta,
+from .media import (MediaAssignment, MediaConfig, build_zeta, check_media_weight,
                     equilibrium_with_media, source_opinions, sum_bounds,
                     truncated_regular_sum)
 from .numerics import ConvergenceError, DiagPlusLaplacianOperator, solve_spd
@@ -241,6 +241,7 @@ def alpha_half_limit(graph: Graph, beta: float, zeta0: np.ndarray,
         raise ValueError("alpha_half_limit requires a d-regular graph")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
+    check_media_weight(beta, graph.stats.d_max)
     zeta0 = np.asarray(zeta0, dtype=np.float64).ravel()
     if zeta0.shape != (graph.n,):
         raise ValueError(f"zeta0 must have length {graph.n}")

@@ -334,8 +334,9 @@ def test_overflowing_media_strength_exits_before_any_cg_iteration():
     assert "||b||_2 is inf at iteration 0" in proc.stderr
 
 
-@pytest.mark.parametrize("mode", ["equilibrium", "periods", "nonstubborn"])
+@pytest.mark.parametrize("mode", ["equilibrium", "periods", "nonstubborn", "bounds"])
 def test_beta_whose_media_weight_overflows_names_beta(mode):
+    # bounds runs no solve: only its closed forms can refuse the beta
     alpha = [] if mode == "nonstubborn" else ["--alpha", "0.9"]
     proc = _run_module(mode, "--gen", "dreg", "--n", "50", "--d", "4", *alpha,
                        "--beta", "1e308", "--gamma", "0.1", "--reps", "1", timeout=60)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -336,6 +338,58 @@ def test_ba_rejects_bad_m():
 def test_ba_min_degree_is_m():
     g = gen_barabasi_albert(100, 3, seed=7)
     assert g.degree.min() >= 3.0
+
+
+# sha256 of edge_u ++ edge_v as little-endian int64, from the generator that
+# called rng.integers(len(urn)) once per urn draw
+BA_DIGESTS = [
+    (2, 1, 0, "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db"),
+    (2, 1, 2**64 - 1, "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db"),
+    (3, 1, 7, "7acccfef7a7e85ef7264470497c1a438a1f281c784c4df9658b37135ba552cc1"),
+    (3, 2, 1, "b8d04b8e4644977df092c27fedde0c770d5fb5f0ef931471306a21f8d18c3aea"),
+    (10, 1, 0, "5e2a64a4644a7bd54f06e513000b4b4d5d56f67706b0b55ebb72b0af59ed6738"),
+    (10, 9, 2**64 - 1, "d058fd933c0c739eb75e8d4665f8f38fb7a1e2bbd61f586a3e4c437a7a71b7f8"),
+    (50, 1, 2**64 - 1, "c88c6436c58bfb7ffeee9cc94ddbc2fcbce02e0d8b728367ca21002f8e44d617"),
+    (50, 4, 3, "ca31a85ed2f745ffa8e488c0341dff69f1eac96f50bf8dd651fa7f4bc2401a0d"),
+    (50, 49, 0, "ce3288dd82722ab7f909060a3631162e9e6be28d8a177a2e860a7b19d5f65e89"),
+    (200, 5, 2**64 - 1, "8a1cb9afc7e981804ba236b59b938ae579783c7cc2e0e38bb6cd388d63441620"),
+    (200, 199, 5, "b841601a512413e9ecde08ef53eb4871f895d89d8fbd8eb8f3c444822dbb4bf5"),
+    (500, 7, 11, "99127a2dc93ad80f83c86dd655e96b1fc7961d5709b8886bad91bb2fb1da25c1"),
+    (1000, 3, 0, "f23b100012aeffa5014bb808781171c18a025ff5f815b98515b5db662f0808c8"),
+    (1000, 30, 2**63, "b73cc3495a7e312ecec363a97cafabd91c763b741a44403043e1d9f20f09bf5f"),
+    (5000, 2, 2**64 - 1, "425657508b1354ae22c1096150d5b907ebdacfee6f533a153837d4f5f16e8368"),
+    (20000, 3, 0, "e910c3f7df81245195b0f7d0570aa906b149741153f349a9ab37aea90f07102a"),
+    (20000, 3, 2**64 - 1, "513dcf0d2c2bad675e6494fdbe0a24b3511997d90692d3b95a5181d724fdc1fb"),
+]
+
+
+@pytest.mark.parametrize("n, m, seed, digest", BA_DIGESTS,
+                         ids=[f"n{n}-m{m}-seed{seed}" for n, m, seed, _ in BA_DIGESTS])
+def test_ba_edges_are_pinned_for_every_seed(n, m, seed, digest):
+    g = gen_barabasi_albert(n, m, seed)
+    edges = np.concatenate([g.edge_u, g.edge_v]).astype("<i8")
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+def test_index_draws_match_rng_integers(seed):
+    # k == 1 takes no word; at k = 2**31 + 1 about half the words are
+    # rejected; at k = 3 * 2**30 the low bits of a word x * k with x = 3 mod 4
+    # equal the rejection threshold 2**30, which numpy accepts.  4 * 4000
+    # draws cross several word blocks
+    random_k = np.random.default_rng(seed + 1).integers(1, 2**32, size=4000).tolist()
+    ks = [k for r in random_k for k in (r, 1, 2**31 + 1, 3 * 2**30)]
+    ks += [1, 2**32 - 1, 2, 1, 3]
+    draw = graph_module._index_draws(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    assert [draw(k) for k in ks] == [int(rng.integers(k)) for k in ks]
+
+
+def test_ba_refuses_an_urn_of_2_to_the_32_entries():
+    # m(m-1) + 2m(n-m) urn entries: 2**33 - 6 here, refused before anything
+    # is built
+    with pytest.raises(ValueError, match=r"n = 2147483648 and m = 2 need a degree urn"):
+        gen_barabasi_albert(2**31, 2, seed=0)
 
 
 # ---------------------------------------------------------------------------

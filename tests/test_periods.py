@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,15 @@ def test_alpha_half_limit_rejections():
         alpha_half_limit(cycle4(), 0.0, np.full(4, 0.5))
     with pytest.raises(ValueError):
         alpha_half_limit(cycle4(), 0.5, np.full(3, 0.5))
+
+
+def test_alpha_half_limit_names_a_beta_whose_media_weight_overflows():
+    g = gen_random_regular(20, 4, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning before the check
+        with pytest.raises(ValueError, match=r"beta 1e\+308 is too large: "
+                                             r"beta \* \(1 \+ d_max\) overflows"):
+            alpha_half_limit(g, 1e308, np.full(20, 0.5))
 
 
 # ---------------------------------------------------------------------------
