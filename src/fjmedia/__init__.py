@@ -11,8 +11,8 @@ from .graph import (Graph, GraphStats, gen_barabasi_albert, gen_random_regular,
 from .numerics import (ConvergenceError, DiagPlusLaplacianOperator,
                        SolveReport, solve_spd)
 from .fj import fj_equilibrium, fj_step, opinion_vector
-from .media import (MediaAssignment, MediaConfig, SourceOpinions, SumBounds,
-                    assign_media, build_zeta, equilibrium_with_media,
+from .media import (MediaAssignment, MediaConfig, MediaSystem, SourceOpinions,
+                    SumBounds, assign_media, build_zeta, equilibrium_with_media,
                     source_opinions, sum_bounds, truncated_lower_bound,
                     truncated_regular_sum)
 from .periods import (PeriodRecord, PeriodTrajectory, STOP_CAUSES,
@@ -23,7 +23,7 @@ from .harness import (CSV_COLUMNS, ExperimentConfig, GraphSpec, MODES,
                       RunManifest, config_from_manifest, rows_to_csv,
                       run_experiment, sample_innate)
 
-__version__ = "0.1.5"
+__version__ = "0.1.6"
 
 __all__ = [
     "Graph", "GraphStats", "gen_barabasi_albert", "gen_random_regular",
@@ -31,9 +31,10 @@ __all__ = [
     "ConvergenceError", "DiagPlusLaplacianOperator", "SolveReport",
     "solve_spd",
     "fj_equilibrium", "fj_step", "opinion_vector",
-    "MediaAssignment", "MediaConfig", "SourceOpinions", "SumBounds",
-    "assign_media", "build_zeta", "equilibrium_with_media", "source_opinions",
-    "sum_bounds", "truncated_lower_bound", "truncated_regular_sum",
+    "MediaAssignment", "MediaConfig", "MediaSystem", "SourceOpinions",
+    "SumBounds", "assign_media", "build_zeta", "equilibrium_with_media",
+    "source_opinions", "sum_bounds", "truncated_lower_bound",
+    "truncated_regular_sum",
     "PeriodRecord", "PeriodTrajectory", "STOP_CAUSES", "StopCriteria",
     "alpha_half_limit", "analytic_summary", "ell_star", "run_periods",
     "nonstubborn_equilibrium",

@@ -53,8 +53,6 @@ class GraphStats:
     is_regular : bool
         True when every weighted degree agrees (up to 1e-12 relative slack,
         so unit-weight generated graphs compare exactly).
-    total_edge_weight : float
-        Sum of edge weights; degrees sum to twice this.
     """
 
     n: int
@@ -62,7 +60,6 @@ class GraphStats:
     d_min: float
     d_max: float
     is_regular: bool
-    total_edge_weight: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,18 +173,6 @@ class Graph:
     def m(self) -> int:
         return int(self.edge_u.size)
 
-    def neighbors(self, i: int) -> list[tuple[int, float]]:
-        """Neighbors of node ``i`` with edge weights, sorted by neighbor id."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"node {i} out of range")
-        rest = slice(self.tail_ptr[i], self.tail_ptr[i + 1])
-        ids = np.concatenate([self.head[:, i], self.tail[rest]])
-        if self.unit_weights:
-            weights = np.ones(ids.size)
-        else:
-            weights = np.concatenate([self.head_w[:, i], self.tail_w[rest]])
-        return [(int(j), float(w)) for j, w in zip(ids, weights)]
-
     @cached_property
     def stats(self) -> GraphStats:
         d_min = float(self.degree.min())
@@ -199,7 +184,6 @@ class Graph:
             d_min=d_min,
             d_max=d_max,
             is_regular=bool(regular),
-            total_edge_weight=float(self.edge_w.sum()),
         )
 
 

@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .graph import Graph, gen_barabasi_albert, gen_random_regular, load_edge_list
-from .media import (MediaConfig, assign_media, build_zeta,
+from .media import (MediaConfig, MediaSystem, assign_media, build_zeta,
                     equilibrium_with_media, source_opinions)
 from .nonstubborn import nonstubborn_equilibrium
 from .numerics import ConvergenceError
@@ -289,7 +289,8 @@ def _run_one(config, rep, graph, s, assignment, stop):
     summary = analytic_summary(graph, s, media, assignment)
     if config.mode == "equilibrium":
         zeta = build_zeta(assignment, src.z_M, src.z_Mprime)
-        z = equilibrium_with_media(graph, s, config.beta, zeta, tol=config.tol)
+        z = equilibrium_with_media(MediaSystem(graph, config.beta), s, zeta,
+                                   tol=config.tol).solution
         return [{"rep": rep, "sum_s": sum_s, "sum_z": float(z.sum()),
                  **{k: summary[k] for k in ("lower", "upper", "exact_if_regular")},
                  "truncated": src.truncated}]

@@ -30,14 +30,14 @@ Closed-form consequences implemented here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fj import opinion_vector
 from .graph import Graph
 from .graph import neighbor_sum  # noqa: F401  unused; bench/test_bench.py reads it here
-from .numerics import DiagPlusLaplacianOperator, solve_spd
+from .numerics import DiagPlusLaplacianOperator, SolveReport, solve_spd
 
 __all__ = [
     "MediaConfig",
@@ -47,6 +47,7 @@ __all__ = [
     "assign_media",
     "source_opinions",
     "build_zeta",
+    "MediaSystem",
     "equilibrium_with_media",
     "sum_bounds",
     "truncated_regular_sum",
@@ -178,27 +179,47 @@ def check_media_weight(beta: float, d_max: float) -> None:
                          f"at d_max = {d_max:g}")
 
 
-def equilibrium_with_media(graph: Graph, s: np.ndarray, beta: float,
-                           zeta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class MediaSystem:
+    """The media operator of one (graph, beta), built once and shared by solves.
+
+    ``weight`` is the media weight beta * (1 + d_i), formed only here, and
+    ``op`` is (1 + beta) I + beta D + L, the operator with diagonal 1 + weight.
+    beta must be finite and >= 0 with beta * (1 + d_max) finite; arrays are read-only.
+    """
+
+    graph: Graph
+    beta: float
+    weight: np.ndarray = field(init=False, repr=False)
+    op: DiagPlusLaplacianOperator = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta:g}")
+        check_media_weight(self.beta, self.graph.stats.d_max)
+        weight = self.beta * (1.0 + self.graph.degree)
+        weight.setflags(write=False)
+        object.__setattr__(self, "weight", weight)
+        # diagonal (1 + beta) + beta d_i written as 1 + beta (1 + d_i)
+        object.__setattr__(self, "op", DiagPlusLaplacianOperator(self.graph, 1.0 + weight))
+
+
+def equilibrium_with_media(system: MediaSystem, s: np.ndarray, zeta: np.ndarray,
+                           tol: float = 1e-10) -> SolveReport:
     """Equilibrium under media influence, by conjugate gradient on
 
         ((1+beta) I + beta D + L) z = s + beta (I+D) zeta
 
     where zeta_i is the opinion of the source node i follows.  beta = 0
     reduces to the plain FJ equilibrium; s == zeta == c*1 returns the
-    consensus c.  A beta for which beta * (1 + d_max) overflows is rejected.
+    consensus c.  The report carries the iteration count, the relative
+    residual and ||b||_2 beside the solution.
     """
-    s = opinion_vector(s, graph.n)
+    s = opinion_vector(s, system.graph.n)
     zeta = np.asarray(zeta, dtype=np.float64).ravel()
-    if zeta.shape != (graph.n,):
+    if zeta.shape != s.shape:
         raise ValueError("zeta must match the graph size")
-    if not (np.isfinite(beta) and beta >= 0.0):
-        raise ValueError("beta must be >= 0")
-    check_media_weight(beta, graph.stats.d_max)
-    media_weight = beta * (1.0 + graph.degree)
-    # diagonal (1 + beta) + beta d_i written as 1 + beta (1 + d_i)
-    op = DiagPlusLaplacianOperator(graph, 1.0 + media_weight)
-    return solve_spd(op, s + media_weight * zeta, tol=tol).solution
+    return solve_spd(system.op, s + system.weight * zeta, tol=tol)
 
 
 def sum_bounds(graph: Graph, s: np.ndarray, config: MediaConfig) -> SumBounds:
@@ -206,7 +227,8 @@ def sum_bounds(graph: Graph, s: np.ndarray, config: MediaConfig) -> SumBounds:
 
     Valid only while z_M is uncapped; a truncated instance is rejected
     because the linear growth argument breaks once z_M saturates (use
-    :func:`truncated_regular_sum` there).  Proved for beta <= 1.
+    :func:`truncated_regular_sum` there).  Proved for beta <= 1.  Rejects a
+    beta for which a bound overflows.
     """
     s = opinion_vector(s, graph.n)
     if source_opinions(s, config.gamma).truncated:
@@ -224,6 +246,8 @@ def sum_bounds(graph: Graph, s: np.ndarray, config: MediaConfig) -> SumBounds:
         d = stats.d_max
         exact = (1.0 + gamma * beta * (d + 1.0) * (2.0 * alpha - 1.0)
                  / (beta * (d + 1.0) + 1.0)) * sum_s
+    if not (math.isfinite(lower) and math.isfinite(upper)):  # exact is at most 2 sum_s
+        raise ValueError(f"beta {beta:g} is too large: the sum bounds overflow")
     return SumBounds(lower=lower, upper=upper, exact_if_regular=exact)
 
 
@@ -232,6 +256,8 @@ def truncated_regular_sum(d: float, n: int, sum_s: float, config: MediaConfig) -
 
     ((1 + beta(1+d)(1-alpha)(1-gamma)) sum_s + alpha beta (1+d) n)
         / (1 + beta(1+d))
+
+    Rejects a beta for which the sum overflows.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -239,8 +265,11 @@ def truncated_regular_sum(d: float, n: int, sum_s: float, config: MediaConfig) -
         raise ValueError("d must be >= 0")
     check_media_weight(config.beta, d)
     b = config.beta * (1.0 + d)
-    return ((1.0 + b * (1.0 - config.alpha) * (1.0 - config.gamma)) * sum_s
-            + config.alpha * b * n) / (1.0 + b)
+    total = ((1.0 + b * (1.0 - config.alpha) * (1.0 - config.gamma)) * sum_s
+             + config.alpha * b * n) / (1.0 + b)
+    if not math.isfinite(total):  # alpha * b * n overflows before b does
+        raise ValueError(f"beta {config.beta:g} is too large: the capped sum overflows")
+    return total
 
 
 def truncated_lower_bound(sum_s: float, alpha: float, gamma: float) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .fj import opinion_vector
 from .graph import Graph
-from .media import MediaConfig, equilibrium_with_media, source_opinions
+from .media import MediaConfig, MediaSystem, equilibrium_with_media, source_opinions
 
 __all__ = ["nonstubborn_equilibrium"]
 
@@ -54,9 +54,10 @@ def nonstubborn_equilibrium(graph: Graph, s: np.ndarray, config: MediaConfig,
         raise ValueError("non-stubborn mode requires alpha = 1")
     s = opinion_vector(s, graph.n)
     n = graph.n
-    b = equilibrium_with_media(graph, np.zeros(n), config.beta, np.ones(n), tol=tol)
-    w = config.beta * (1.0 + graph.degree)  # finite: the solve above checked it
+    system = MediaSystem(graph, config.beta)
+    w = system.weight
+    b = equilibrium_with_media(system, np.zeros(n), np.ones(n), tol=tol).solution
     s_M = source_opinions(s, config.gamma).z_M
     z_M = (s_M + float(b @ s)) / (1.0 + float(w.sum()) - float(w @ b))
-    z = equilibrium_with_media(graph, s, config.beta, np.full(n, z_M), tol=tol)
+    z = equilibrium_with_media(system, s, np.full(n, z_M), tol=tol).solution
     return z, z_M

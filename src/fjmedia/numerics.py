@@ -22,7 +22,7 @@ exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,11 +57,14 @@ class DiagPlusLaplacianOperator:
     """The SPD operator x -> gamma_diag * x + L x.
 
     ``gamma_diag`` must be strictly positive everywhere, which makes the
-    operator positive definite (L alone is only semidefinite).
+    operator positive definite (L alone is only semidefinite).  ``inv_diag``,
+    the Jacobi scaling of ``solve_spd``, is diag.max() / diag for the operator's
+    diagonal gamma_diag + degree, so a constant diagonal gives exactly 1.0.
     """
 
     graph: Graph
     gamma_diag: np.ndarray
+    inv_diag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gamma_diag, dtype=np.float64).ravel()
@@ -70,8 +73,10 @@ class DiagPlusLaplacianOperator:
         if np.any(~np.isfinite(g)) or np.any(g <= 0):
             raise ValueError("gamma_diag entries must be positive and finite")
         g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "gamma_diag", g)
+        diag = g + self.graph.degree
+        for name, arr in (("gamma_diag", g), ("inv_diag", diag.max() / diag)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``gamma_diag * x + L x``, written into ``out`` when given."""
@@ -86,12 +91,14 @@ class DiagPlusLaplacianOperator:
 class SolveReport:
     """Solution plus how hard the solver worked.
 
-    ``residual`` is relative: ||A x - b|| / ||b|| in the 2-norm.
+    ``residual`` is relative: ||A x - b|| / ||b|| in the 2-norm, and
+    ``rhs_norm`` is ||b||_2 of the right-hand side as given.
     """
 
     solution: np.ndarray
     iterations: int
     residual: float
+    rhs_norm: float
 
     def __post_init__(self) -> None:
         sol = np.asarray(self.solution, dtype=np.float64)
@@ -128,22 +135,20 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10
             k = -math.frexp(b_max)[1]
             scaled = solve_spd(op, np.ldexp(b, k), tol, max_iter)
             return SolveReport(np.ldexp(scaled.solution, -k), scaled.iterations,
-                               scaled.residual)
+                               scaled.residual, math.ldexp(scaled.rhs_norm, -k))
         b_norm = float(np.linalg.norm(b))
         if not math.isfinite(b_norm):
             raise ValueError(f"conjugate gradient cannot start: ||b||_2 is {b_norm} at "
                              "iteration 0 (the right-hand side is too large or not finite)")
         if b_norm == 0.0:
-            return SolveReport(np.zeros(n), 0, 0.0)
+            return SolveReport(np.zeros(n), 0, 0.0, 0.0)
         return _pcg(op, b, b_norm, tol, max_iter)
 
 
 def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float,
          max_iter: int) -> SolveReport:
     n = b.size
-    diag = op.gamma_diag + op.graph.degree
-    # scaled by the largest entry, so a constant diagonal gives exactly 1.0
-    inv_diag = diag.max() / diag
+    inv_diag = op.inv_diag
     x = np.zeros(n)
     r = b.copy()
     p = inv_diag * r
@@ -160,7 +165,7 @@ def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float
             true_res = _finite("the residual", float(np.linalg.norm(
                 np.subtract(ap, b, out=work))) / b_norm, k)
             if true_res <= tol:
-                return SolveReport(x, k, true_res)
+                return SolveReport(x, k, true_res, b_norm)
             op.apply(x, out=ap)
             np.subtract(b, ap, out=r)
             np.multiply(inv_diag, r, out=p)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fj import opinion_vector
 from .graph import Graph
-from .media import (MediaAssignment, MediaConfig, build_zeta, check_media_weight,
+from .media import (MediaAssignment, MediaConfig, MediaSystem, build_zeta,
                     equilibrium_with_media, source_opinions, sum_bounds,
                     truncated_regular_sum)
 from .numerics import ConvergenceError, DiagPlusLaplacianOperator, solve_spd
@@ -134,6 +134,7 @@ def run_periods(graph: Graph, s0: np.ndarray, config: MediaConfig,
     s = opinion_vector(s0, graph.n)
     traj = PeriodTrajectory(
         ell_star_predicted=analytic_summary(graph, s, config, assignment)["ell_star"])
+    system = MediaSystem(graph, config.beta)
 
     src = source_opinions(s, config.gamma)
     traj.records.append(PeriodRecord(0, float(s.sum()), float(s.mean()),
@@ -143,15 +144,14 @@ def run_periods(graph: Graph, s0: np.ndarray, config: MediaConfig,
         src = source_opinions(s, config.gamma)
         zeta = build_zeta(assignment, src.z_M, src.z_Mprime)
         try:
-            z = equilibrium_with_media(graph, s, config.beta, zeta, tol=tol)
+            report = equilibrium_with_media(system, s, zeta, tol=tol)
         except ConvergenceError as exc:
             raise ConvergenceError(f"period {t}: {exc}", exc.iterations,
                                    exc.residual) from exc
         # the solve leaves ||A z - b|| <= tol ||b||, and every eigenvalue of
         # A = (1 + beta) I + beta D + L is >= 1, so z lies within tol ||b||_2
         # of the exact equilibrium
-        rhs = s + config.beta * (1.0 + graph.degree) * zeta
-        z = _clamp_unit(z, tol * float(np.linalg.norm(rhs)))
+        z = _clamp_unit(report.solution, tol * report.rhs_norm)
         mean_z = float(z.mean())
         traj.final_state = z
         traj.records.append(PeriodRecord(t, float(z.sum()), mean_z,
@@ -241,10 +241,8 @@ def alpha_half_limit(graph: Graph, beta: float, zeta0: np.ndarray,
         raise ValueError("alpha_half_limit requires a d-regular graph")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    check_media_weight(beta, graph.stats.d_max)
+    w = MediaSystem(graph, beta).weight
     zeta0 = np.asarray(zeta0, dtype=np.float64).ravel()
     if zeta0.shape != (graph.n,):
         raise ValueError(f"zeta0 must have length {graph.n}")
-    scale = beta * (1.0 + graph.degree)
-    op = DiagPlusLaplacianOperator(graph, scale)
-    return solve_spd(op, scale * zeta0, tol=tol).solution
+    return solve_spd(DiagPlusLaplacianOperator(graph, w), w * zeta0, tol=tol).solution

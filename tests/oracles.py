@@ -16,6 +16,21 @@ def edge_tuples(graph):
             for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w)]
 
 
+def neighbors(graph, i):
+    """Node ``i``'s ``(neighbour, weight)`` pairs as the graph stores them:
+    its head column, then its tail run.  Not an oracle: ``test_graph`` holds
+    this read of the layout against ``adjacency``."""
+    if not 0 <= i < graph.n:
+        raise ValueError(f"node {i} out of range")
+    rest = slice(graph.tail_ptr[i], graph.tail_ptr[i + 1])
+    ids = np.concatenate([graph.head[:, i], graph.tail[rest]])
+    if graph.unit_weights:
+        weights = np.ones(ids.size)
+    else:
+        weights = np.concatenate([graph.head_w[:, i], graph.tail_w[rest]])
+    return [(int(j), float(w)) for j, w in zip(ids, weights)]
+
+
 def adjacency(graph):
     W = np.zeros((graph.n, graph.n))
     for u, v, w in edge_tuples(graph):

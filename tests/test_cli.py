@@ -344,3 +344,14 @@ def test_beta_whose_media_weight_overflows_names_beta(mode):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert "error: repetition 0: beta 1e+308 is too large: " in proc.stderr
     assert "beta * (1 + d_max) overflows" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [["--gamma", "0.9", "--innate-mu", "0.2"],  # uncapped
+                                   ["--gamma", "1"]])  # z_M capped
+def test_closed_form_sum_that_overflows_names_beta(flags):
+    # beta * (1 + d) is finite, but beta * swing and alpha * beta(1+d) * n are not
+    proc = _run_module("bounds", "--gen", "dreg", "--n", "50", "--d", "4", "--alpha", "1",
+                       "--beta", "3.5e307", *flags, "--reps", "1", timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "error: repetition 0: beta 3.5e+307 is too large: " in proc.stderr

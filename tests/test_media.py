@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fjmedia import (Graph, MediaAssignment, MediaConfig, assign_media,
-                     build_zeta, equilibrium_with_media, fj_equilibrium,
+from fjmedia import (Graph, MediaAssignment, MediaConfig, MediaSystem,
+                     assign_media, build_zeta, equilibrium_with_media, fj_equilibrium,
                      gen_barabasi_albert, gen_random_regular, source_opinions,
                      sum_bounds, truncated_lower_bound, truncated_regular_sum)
 from oracles import iterate_media, media_matrix, media_rhs
@@ -121,7 +121,8 @@ def test_beta_zero_reduces_to_fj():
     g = gen_barabasi_albert(40, 2, seed=5)
     s = np.random.default_rng(5).uniform(0.0, 1.0, g.n)
     a = assign_media(g, 0.5, seed=1)
-    z = equilibrium_with_media(g, s, 0.0, build_zeta(a, 0.7, 0.3), tol=1e-12)
+    z = equilibrium_with_media(MediaSystem(g, 0.0), s, build_zeta(a, 0.7, 0.3),
+                               tol=1e-12).solution
     assert np.max(np.abs(z - fj_equilibrium(g, s, tol=1e-12))) <= 1e-9
 
 
@@ -129,7 +130,7 @@ def test_consensus_with_agreeing_sources():
     g = gen_random_regular(20, 4, seed=1)
     s = np.full(g.n, 0.6)
     a = assign_media(g, 0.5, seed=2)
-    z = equilibrium_with_media(g, s, 0.8, build_zeta(a, 0.6, 0.6))
+    z = equilibrium_with_media(MediaSystem(g, 0.8), s, build_zeta(a, 0.6, 0.6)).solution
     assert np.allclose(z, 0.6, atol=1e-9)
 
 
@@ -139,7 +140,7 @@ def test_path_all_to_M_frozen():
     s = np.array([0.0, 0.5, 1.0])
     src = source_opinions(s, gamma=0.01)
     zeta = build_zeta(all_to_M(3), src.z_M, src.z_Mprime)
-    z = equilibrium_with_media(g, s, 0.5, zeta, tol=1e-12)
+    z = equilibrium_with_media(MediaSystem(g, 0.5), s, zeta, tol=1e-12).solution
     want = [0.33594202898550724, 0.5028260869565216, 0.6692753623188407]
     assert np.allclose(z, want, atol=1e-10)
     assert z.sum() == pytest.approx(1.5080434782608694, abs=1e-10)
@@ -151,7 +152,7 @@ def test_direct_and_iterate_agree():
     s = rng.uniform(0.0, 1.0, g.n)
     a = assign_media(g, 0.4, seed=3)
     zeta = build_zeta(a, 0.8, 0.2)
-    direct = equilibrium_with_media(g, s, 0.3, zeta, tol=1e-12)
+    direct = equilibrium_with_media(MediaSystem(g, 0.3), s, zeta, tol=1e-12).solution
     iterated = iterate_media(g, s, 0.3, zeta, tol=1e-13)
     assert np.max(np.abs(direct - iterated)) <= 1e-9
 
@@ -165,18 +166,34 @@ def test_equilibrium_matches_dense_oracle():
         a = assign_media(g, float(rng.uniform(0.0, 1.0)), seed=seed)
         src = source_opinions(s, float(rng.uniform(0.0, 0.5)))
         zeta = build_zeta(a, src.z_M, src.z_Mprime)
-        got = equilibrium_with_media(g, s, beta, zeta, tol=1e-12)
+        got = equilibrium_with_media(MediaSystem(g, beta), s, zeta, tol=1e-12).solution
         want = dense_solve(media_matrix(g, beta), media_rhs(g, s, beta, zeta))
         assert np.max(np.abs(got - want)) <= 1e-8
+
+
+@pytest.mark.parametrize("beta", [-0.5, np.nan, np.inf, 1e308])
+def test_media_system_names_a_bad_beta(beta):
+    with pytest.raises(ValueError, match="beta"):
+        MediaSystem(gen_random_regular(20, 4, seed=1), beta)
+
+
+def test_media_system_forms_the_weight_once_read_only():
+    g = gen_barabasi_albert(40, 2, seed=5)
+    system = MediaSystem(g, 0.5)
+    assert np.array_equal(system.weight, 0.5 * (1.0 + g.degree))
+    assert np.array_equal(system.op.gamma_diag, 1.0 + system.weight)
+    for arr in (system.weight, system.op.gamma_diag, system.op.inv_diag):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
 
 
 def test_equilibrium_input_sizes_checked():
     g = path3()
     s = np.array([0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
-        equilibrium_with_media(g, s, 0.5, np.full(4, 0.5))
+        equilibrium_with_media(MediaSystem(g, 0.5), s, np.full(4, 0.5))
     with pytest.raises(ValueError):
-        equilibrium_with_media(g, s, -0.5, np.full(3, 0.5))
+        equilibrium_with_media(MediaSystem(g, -0.5), s, np.full(3, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +238,8 @@ def test_sum_bounds_bracket_measured_sum():
         a = assign_media(g, config.alpha, seed=seed)
         src = source_opinions(s, config.gamma)
         zeta = build_zeta(a, src.z_M, src.z_Mprime)
-        z = equilibrium_with_media(g, s, config.beta, zeta, tol=1e-12)
+        z = equilibrium_with_media(MediaSystem(g, config.beta), s, zeta,
+                                   tol=1e-12).solution
         b = sum_bounds(g, s, config)
         assert b.lower - 1e-8 <= z.sum() <= b.upper + 1e-8, seed
 
@@ -235,7 +253,7 @@ def test_sum_bounds_exact_on_regular_matches_measured():
     assert a.count_M == 27
     src = source_opinions(s, config.gamma)
     zeta = build_zeta(a, src.z_M, src.z_Mprime)
-    z = equilibrium_with_media(g, s, config.beta, zeta, tol=1e-13)
+    z = equilibrium_with_media(MediaSystem(g, config.beta), s, zeta, tol=1e-13).solution
     b = sum_bounds(g, s, config)
     assert z.sum() == pytest.approx(b.exact_if_regular, abs=1e-9)
 
@@ -286,7 +304,7 @@ def test_truncated_regular_sum_matches_measured():
     assert src.truncated and src.z_M == 1.0
     a = assign_media(g, 0.6, seed=8)
     zeta = build_zeta(a, src.z_M, src.z_Mprime)
-    z = equilibrium_with_media(g, s, config.beta, zeta, tol=1e-13)
+    z = equilibrium_with_media(MediaSystem(g, config.beta), s, zeta, tol=1e-13).solution
     want = truncated_regular_sum(44.0, 45, float(s.sum()), config)
     assert z.sum() == pytest.approx(want, abs=1e-9)
 
@@ -315,6 +333,6 @@ def test_truncated_lower_bound_holds_on_measured_instance():
     src = source_opinions(s, config.gamma)
     a = assign_media(g, 0.6, seed=8)
     zeta = build_zeta(a, src.z_M, src.z_Mprime)
-    z = equilibrium_with_media(g, s, config.beta, zeta, tol=1e-13)
+    z = equilibrium_with_media(MediaSystem(g, config.beta), s, zeta, tol=1e-13).solution
     assert z.sum() > truncated_lower_bound(float(s.sum()), config.alpha,
                                            config.gamma)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -159,6 +160,20 @@ def test_rhs_whose_norm_underflows_is_solved_scaled():
     rep, ref = solve_spd(op, tiny), solve_spd(op, b)
     assert np.array_equal(rep.solution, np.ldexp(ref.solution, -600))
     assert (rep.iterations, rep.residual) == (ref.iterations, ref.residual)
+    assert rep.rhs_norm == math.ldexp(ref.rhs_norm, -600) > 0.0
+
+
+def test_rhs_norm_is_the_two_norm_of_the_given_rhs():
+    g = gen_barabasi_albert(60, 2, seed=3)
+    op = DiagPlusLaplacianOperator(g, np.full(g.n, 0.5))
+    b = np.random.default_rng(8).uniform(0.0, 1.0, g.n)
+    assert solve_spd(op, b).rhs_norm == float(np.linalg.norm(b))
+    # below 2**-500 the solve runs scaled; the norm comes back to the bit
+    small = np.ldexp(b, -501)
+    assert np.abs(small).max() < 2.0 ** -500
+    rhs_norm = solve_spd(op, small).rhs_norm
+    assert rhs_norm > 0.0 and rhs_norm == float(np.linalg.norm(small))
+    assert solve_spd(op, np.zeros(g.n)).rhs_norm == 0.0
 
 
 def test_overflowing_cg_scalar_stops_at_its_iteration():
@@ -235,6 +250,6 @@ def test_row_sum_bounds_of_inverse():
 
 
 def test_solve_report_solution_read_only():
-    rep = SolveReport(np.array([1.0, 2.0]), 1, 0.0)
+    rep = SolveReport(np.array([1.0, 2.0]), 1, 0.0, 1.0)
     with pytest.raises(ValueError):
         rep.solution[0] = 9.0

@@ -1,14 +1,15 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fjmedia.periods as periods_module
-from fjmedia import (Graph, MediaAssignment, MediaConfig, STOP_CAUSES,
-                     StopCriteria, alpha_half_limit, assign_media, build_zeta,
-                     ell_star, gen_random_regular, run_periods,
-                     source_opinions)
+from fjmedia import (DiagPlusLaplacianOperator, Graph, MediaAssignment,
+                     MediaConfig, STOP_CAUSES, StopCriteria, alpha_half_limit,
+                     assign_media, build_zeta, ell_star, gen_random_regular,
+                     run_periods, source_opinions)
 
 
 def cycle4():
@@ -103,11 +104,12 @@ def test_opinion_excursion_beyond_the_solve_tolerance_raises(monkeypatch, spill,
     s0, config, tol = np.full(20, 0.3), MediaConfig(1.0, 0.5, 0.1), 1e-3
     real = periods_module.equilibrium_with_media
 
-    def spilling(graph, s, beta, zeta, tol):
-        z = real(graph, s, beta, zeta, tol=tol).copy()
-        rhs = s + beta * (1.0 + graph.degree) * zeta
+    def spilling(system, s, zeta, tol):
+        report = real(system, s, zeta, tol=tol)
+        z = report.solution.copy()
+        rhs = s + system.beta * (1.0 + system.graph.degree) * zeta
         z[3] = 1.0 + spill * tol * np.linalg.norm(rhs)
-        return z
+        return replace(report, solution=z)
 
     monkeypatch.setattr(periods_module, "equilibrium_with_media", spilling)
     stop = StopCriteria(up_threshold=0.99, epsilon=1e-4, max_periods=1)
@@ -117,6 +119,25 @@ def test_opinion_excursion_beyond_the_solve_tolerance_raises(monkeypatch, spill,
     else:
         traj = run_periods(g, s0, config, all_to_M(20), stop, tol=tol)
         assert traj.final_state.max() == 1.0
+
+
+def test_a_run_builds_one_operator(monkeypatch):
+    built = []
+    real = DiagPlusLaplacianOperator.__post_init__
+
+    def counting(op):
+        built.append(op)
+        real(op)
+
+    monkeypatch.setattr(DiagPlusLaplacianOperator, "__post_init__", counting)
+    g = gen_random_regular(40, 4, seed=3)
+    s0 = np.random.default_rng(3).uniform(0.2, 0.6, g.n)
+    stop = StopCriteria(up_threshold=0.99, epsilon=1e-4, max_periods=50,
+                        fixed_point_tol=None)
+    traj = run_periods(g, s0, MediaConfig(0.5, 0.5, 0.1), assign_media(g, 0.5, seed=1),
+                       stop)
+    assert (traj.stop_cause, traj.periods_run) == ("max_periods", 50)
+    assert len(built) == 1
 
 
 def test_assignment_size_checked():

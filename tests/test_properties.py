@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fjmedia import (ExperimentConfig, Graph, GraphSpec, MediaAssignment,
-                     MediaConfig, build_zeta, equilibrium_with_media,
+                     MediaConfig, MediaSystem, build_zeta, equilibrium_with_media,
                      gen_barabasi_albert, gen_random_regular, load_edge_list,
                      nonstubborn_equilibrium, run_experiment, source_opinions,
                      sum_bounds, write_edge_list)
@@ -61,14 +61,14 @@ def test_equilibrium_with_media_commutes_with_relabelling(inst, beta, gamma):
     g, s, mask, perm = inst
     src = source_opinions(s, gamma)
     zeta = build_zeta(MediaAssignment(mask), src.z_M, src.z_Mprime)
-    z = equilibrium_with_media(g, s, beta, zeta, tol=1e-12)
+    z = equilibrium_with_media(MediaSystem(g, beta), s, zeta, tol=1e-12).solution
 
     g2, s2 = relabel(g, perm), moved(s, perm)
     src2 = source_opinions(s2, gamma)
     assert src2.truncated == src.truncated
     assert src2.z_M == pytest.approx(src.z_M, abs=1e-15)
     zeta2 = build_zeta(MediaAssignment(moved(mask, perm)), src2.z_M, src2.z_Mprime)
-    z2 = equilibrium_with_media(g2, s2, beta, zeta2, tol=1e-12)
+    z2 = equilibrium_with_media(MediaSystem(g2, beta), s2, zeta2, tol=1e-12).solution
 
     assert np.max(np.abs(z2 - moved(z, perm))) <= 1e-9
     assert float(z2.sum()) == pytest.approx(float(z.sum()), abs=1e-9)
@@ -266,6 +266,7 @@ def test_more_followers_of_M_never_lower_an_opinion(kind, n, seed, beta, gamma):
     m2 = rng.random(g.n) < rng.uniform()
     m1 = m2 & (rng.random(g.n) < rng.uniform())
     src = source_opinions(s, gamma)
-    z1, z2 = (equilibrium_with_media(g, s, beta, build_zeta(
-        MediaAssignment(m), src.z_M, src.z_Mprime), tol=1e-12) for m in (m1, m2))
+    system = MediaSystem(g, beta)
+    z1, z2 = (equilibrium_with_media(system, s, build_zeta(
+        MediaAssignment(m), src.z_M, src.z_Mprime), tol=1e-12).solution for m in (m1, m2))
     assert np.all(z2 >= z1 - 1e-9)
