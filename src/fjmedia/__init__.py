@@ -6,15 +6,14 @@ radicalization protocol, and reproducible seeded experiments.
 """
 
 from .graph import (Graph, GraphStats, gen_barabasi_albert, gen_random_regular,
-                    laplacian_apply, load_edge_list, neighbor_sum,
-                    write_edge_list)
+                    load_edge_list, neighbor_sum, write_edge_list)
 from .numerics import (ConvergenceError, DiagPlusLaplacianOperator,
                        SolveReport, solve_spd)
-from .fj import fj_equilibrium, fj_step, opinion_vector
 from .media import (MediaAssignment, MediaConfig, MediaSystem, SourceOpinions,
                     SumBounds, assign_media, build_zeta, equilibrium_with_media,
-                    source_opinions, sum_bounds, truncated_lower_bound,
-                    truncated_regular_sum)
+                    opinion_vector, source_opinions, sum_bounds,
+                    truncated_lower_bound, truncated_regular_sum)
+from .fj import fj_equilibrium, fj_step
 from .periods import (PeriodRecord, PeriodTrajectory, STOP_CAUSES,
                       StopCriteria, alpha_half_limit, analytic_summary,
                       ell_star, run_periods)
@@ -23,11 +22,11 @@ from .harness import (CSV_COLUMNS, ExperimentConfig, GraphSpec, MODES,
                       RunManifest, config_from_manifest, rows_to_csv,
                       run_experiment, sample_innate)
 
-__version__ = "0.1.6"
+__version__ = "0.1.7"
 
 __all__ = [
     "Graph", "GraphStats", "gen_barabasi_albert", "gen_random_regular",
-    "laplacian_apply", "load_edge_list", "neighbor_sum", "write_edge_list",
+    "load_edge_list", "neighbor_sum", "write_edge_list",
     "ConvergenceError", "DiagPlusLaplacianOperator", "SolveReport",
     "solve_spd",
     "fj_equilibrium", "fj_step", "opinion_vector",

@@ -14,19 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph, neighbor_sum
-from .numerics import DiagPlusLaplacianOperator, solve_spd
+from .media import MediaSystem, equilibrium_with_media, opinion_vector
 
-__all__ = ["opinion_vector", "fj_step", "fj_equilibrium"]
-
-
-def opinion_vector(values, n: int | None = None) -> np.ndarray:
-    """Validate and return an opinion vector: finite floats in [0, 1]."""
-    z = np.asarray(values, dtype=np.float64).ravel()
-    if n is not None and z.shape != (n,):
-        raise ValueError(f"expected {n} opinions, got {z.shape}")
-    if z.size and (np.any(~np.isfinite(z)) or z.min() < 0.0 or z.max() > 1.0):
-        raise ValueError("opinions must lie in [0, 1]")
-    return z
+__all__ = ["fj_step", "fj_equilibrium"]
 
 
 def fj_step(graph: Graph, s: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -44,8 +34,8 @@ def fj_step(graph: Graph, s: np.ndarray, z: np.ndarray) -> np.ndarray:
 def fj_equilibrium(graph: Graph, s: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Equilibrium opinions z* = (I + L)^{-1} s, by conjugate gradient.
 
-    On a graph with no edges this returns s itself.
+    This is the media system at beta = 0: its weight is exactly 0, so the
+    operator is I + L and the right-hand side is s itself.  On a graph with
+    no edges this returns s.
     """
-    s = opinion_vector(s, graph.n)
-    op = DiagPlusLaplacianOperator(graph, np.ones(graph.n))
-    return solve_spd(op, s, tol=tol).solution
+    return equilibrium_with_media(MediaSystem(graph, 0.0), s, s, tol).solution

@@ -9,11 +9,9 @@ neighbour ids; the *tail* holds the rest of each longer row, row by row
 is that of SELL-C-sigma).  ``neighbor_sum`` adds the head one row of n
 gathers at a time, left to right, and then each tail row with one
 ``np.add.reduceat``: a regular graph has no tail, and a graph with an
-isolated node has K = 0 and no head.  ``laplacian_apply`` subtracts that sum
-from the degree-scaled vector, which is all the solvers need; both take
-``out=`` so a solver can reuse its vectors.  Per-entry weights are stored
-only when some weight is not exactly 1.0, so a unit-weight graph skips the
-weight multiply.
+isolated node has K = 0 and no head.  ``neighbor_sum`` takes ``out=`` so a
+solver can reuse its vectors.  Per-entry weights are stored only when some weight is
+not exactly 1.0, so a unit-weight graph skips the weight multiply.
 
 Node ids are dense 0..n-1.  Only ``Graph`` knows the edge rules; ``load_edge_list``
 parses text, remaps ids by first appearance and names a rejected edge's line.
@@ -35,7 +33,6 @@ __all__ = [
     "write_edge_list",
     "gen_barabasi_albert",
     "gen_random_regular",
-    "laplacian_apply",
     "neighbor_sum",
 ]
 
@@ -70,13 +67,12 @@ class Graph:
     the symmetrised adjacency are derived at construction.  With K the
     smallest row length, ``head`` is a (K, n) array whose ``head[k, i]`` is
     node i's k-th smallest neighbour id.  ``tail`` holds the remaining
-    neighbours of every row longer than K, row by row and sorted by id: node
-    i's are ``tail[tail_ptr[i]:tail_ptr[i+1]]``.  ``tail_rows`` lists the
-    nodes that have tail entries and ``tail_starts`` the offsets of their
-    runs in ``tail``.  ``head_w`` and ``tail_w`` hold the edge weights
-    alongside, or are None when ``unit_weights`` is True (every edge weight
-    is exactly 1.0).  Arrays are set read-only so instances can be shared
-    freely between runs.
+    neighbours of every row longer than K, row by row and sorted by id.
+    ``tail_rows`` lists the nodes that have tail entries, in id order, and
+    ``tail_starts`` the offsets of their runs in ``tail``; each run ends
+    where the next begins.  ``head_w`` and ``tail_w`` hold the edge weights
+    alongside, or are both None when every edge weight is exactly 1.0.
+    Arrays are set read-only so instances can be shared freely between runs.
 
     Construct through :meth:`from_edges`, the generators, or
     :func:`load_edge_list` rather than passing raw arrays.
@@ -91,10 +87,8 @@ class Graph:
     head_w: np.ndarray | None = field(init=False, repr=False)
     tail: np.ndarray = field(init=False, repr=False)
     tail_w: np.ndarray | None = field(init=False, repr=False)
-    tail_ptr: np.ndarray = field(init=False, repr=False)
     tail_rows: np.ndarray = field(init=False, repr=False)
     tail_starts: np.ndarray = field(init=False, repr=False)
-    unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -139,9 +133,8 @@ class Graph:
             if head_w is not None:
                 head_w[k] = w[order[at]]
             in_tail[at] = False
-        tail_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts - k_min, out=tail_ptr[1:])
-        tail_rows = np.flatnonzero(counts > k_min)
+        tail_len = counts - k_min
+        tail_rows = np.flatnonzero(tail_len)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         deg = np.bincount(lo, weights=w, minlength=n) + np.bincount(
             hi, weights=w, minlength=n
@@ -149,13 +142,12 @@ class Graph:
         stored = (("edge_u", lo), ("edge_v", hi), ("edge_w", w), ("degree", deg),
                   ("head", head), ("tail", keys[in_tail]), ("head_w", head_w),
                   ("tail_w", None if unit else w[order[in_tail]]),
-                  ("tail_ptr", tail_ptr), ("tail_rows", tail_rows),
-                  ("tail_starts", tail_ptr[tail_rows]))
+                  ("tail_rows", tail_rows),
+                  ("tail_starts", (np.cumsum(tail_len) - tail_len)[tail_rows]))
         for name, arr in stored:
             if arr is not None:
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "unit_weights", unit)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -244,19 +236,6 @@ def neighbor_sum(graph: Graph, x: np.ndarray, out: np.ndarray | None = None) -> 
             terms *= graph.tail_w
         out[graph.tail_rows] += np.add.reduceat(terms, graph.tail_starts)
     return out
-
-
-def laplacian_apply(graph: Graph, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply the combinatorial Laplacian: ``(L x)_i = d_i x_i - (W x)_i``.
-
-    Row sums of L vanish, so ``laplacian_apply`` of a constant vector is zero
-    and ``sum(L x) == 0`` for every x (up to roundoff).  Written into ``out``
-    when given.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    dx = graph.degree * x
-    wx = neighbor_sum(graph, x, out=out)
-    return np.subtract(dx, wx, out=wx)
 
 
 # ---------------------------------------------------------------------------

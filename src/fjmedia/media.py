@@ -31,15 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .fj import opinion_vector
 from .graph import Graph
 from .graph import neighbor_sum  # noqa: F401  unused; bench/test_bench.py reads it here
 from .numerics import DiagPlusLaplacianOperator, SolveReport, solve_spd
 
 __all__ = [
+    "opinion_vector",
     "MediaConfig",
     "MediaAssignment",
     "SourceOpinions",
@@ -55,13 +56,23 @@ __all__ = [
 ]
 
 
+def opinion_vector(values, n: int | None = None) -> np.ndarray:
+    """Validate and return an opinion vector: finite floats in [0, 1]."""
+    z = np.asarray(values, dtype=np.float64).ravel()
+    if n is not None and z.shape != (n,):
+        raise ValueError(f"expected {n} opinions, got {z.shape}")
+    if z.size and (np.any(~np.isfinite(z)) or z.min() < 0.0 or z.max() > 1.0):
+        raise ValueError("opinions must lie in [0, 1]")
+    return z
+
+
 @dataclass(frozen=True)
 class MediaConfig:
     """Media parameters: follower fraction, strength, and opinion spread.
 
     alpha in [0, 1], beta >= 0, gamma in [0, 1].  The closed-form bounds are
-    proved for beta <= 1; larger beta still solves fine, the bracket is just
-    no longer guaranteed.
+    proved for beta <= 1; larger beta still solves fine, but on a non-regular
+    graph the bracket is no longer guaranteed.
     """
 
     alpha: float
@@ -181,17 +192,18 @@ def check_media_weight(beta: float, d_max: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MediaSystem:
-    """The media operator of one (graph, beta), built once and shared by solves.
+    """The media operators of one (graph, beta), built once and shared by solves.
 
-    ``weight`` is the media weight beta * (1 + d_i), formed only here, and
-    ``op`` is (1 + beta) I + beta D + L, the operator with diagonal 1 + weight.
-    beta must be finite and >= 0 with beta * (1 + d_max) finite; arrays are read-only.
+    ``weight`` is the media weight beta * (1 + d_i), formed only here.  ``op``
+    is (1 + beta) I + beta D + L, the operator with diagonal 1 + weight, and
+    ``weight_op`` is diag(weight) + L, which needs beta > 0.  Each is built on
+    first use; no other code in the package builds an operator.  beta must be
+    finite and >= 0 with beta * (1 + d_max) finite; arrays are read-only.
     """
 
     graph: Graph
     beta: float
     weight: np.ndarray = field(init=False, repr=False)
-    op: DiagPlusLaplacianOperator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.beta) and self.beta >= 0.0):
@@ -200,8 +212,15 @@ class MediaSystem:
         weight = self.beta * (1.0 + self.graph.degree)
         weight.setflags(write=False)
         object.__setattr__(self, "weight", weight)
+
+    @cached_property
+    def op(self) -> DiagPlusLaplacianOperator:
         # diagonal (1 + beta) + beta d_i written as 1 + beta (1 + d_i)
-        object.__setattr__(self, "op", DiagPlusLaplacianOperator(self.graph, 1.0 + weight))
+        return DiagPlusLaplacianOperator(self.graph, 1.0 + self.weight)
+
+    @cached_property
+    def weight_op(self) -> DiagPlusLaplacianOperator:
+        return DiagPlusLaplacianOperator(self.graph, self.weight)
 
 
 def equilibrium_with_media(system: MediaSystem, s: np.ndarray, zeta: np.ndarray,

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fj import opinion_vector
 from .graph import Graph
-from .media import MediaConfig, MediaSystem, equilibrium_with_media, source_opinions
+from .media import (MediaConfig, MediaSystem, equilibrium_with_media, opinion_vector,
+                    source_opinions)
 
 __all__ = ["nonstubborn_equilibrium"]
 

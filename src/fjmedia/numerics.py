@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, laplacian_apply
+from .graph import Graph, neighbor_sum
 
 __all__ = [
     "DiagPlusLaplacianOperator",
@@ -52,7 +52,7 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagPlusLaplacianOperator:
     """The SPD operator x -> gamma_diag * x + L x.
 
@@ -60,6 +60,7 @@ class DiagPlusLaplacianOperator:
     operator positive definite (L alone is only semidefinite).  ``inv_diag``,
     the Jacobi scaling of ``solve_spd``, is diag.max() / diag for the operator's
     diagonal gamma_diag + degree, so a constant diagonal gives exactly 1.0.
+    In the package only ``media.MediaSystem`` builds one.
     """
 
     graph: Graph
@@ -79,15 +80,20 @@ class DiagPlusLaplacianOperator:
             object.__setattr__(self, name, arr)
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``gamma_diag * x + L x``, written into ``out`` when given."""
+        """``gamma_diag * x + L x``, written into ``out`` when given.
+
+        L x is formed as ``degree * x - W x``, with W x from :func:`neighbor_sum`.
+        """
         x = np.asarray(x, dtype=np.float64)
         gx = self.gamma_diag * x
-        out = laplacian_apply(self.graph, x, out=out)
+        dx = self.graph.degree * x
+        out = neighbor_sum(self.graph, x, out=out)
+        np.subtract(dx, out, out=out)
         out += gx  # (dx - Wx) + gx adds the same two numbers as gx + (dx - Wx)
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Solution plus how hard the solver worked.
 
@@ -166,8 +172,7 @@ def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float
                 np.subtract(ap, b, out=work))) / b_norm, k)
             if true_res <= tol:
                 return SolveReport(x, k, true_res, b_norm)
-            op.apply(x, out=ap)
-            np.subtract(b, ap, out=r)
+            np.subtract(b, ap, out=r)  # ap still holds A x
             np.multiply(inv_diag, r, out=p)
             rz = _finite("r.z", float(r @ p), k)
             continue

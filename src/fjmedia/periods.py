@@ -15,12 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fj import opinion_vector
 from .graph import Graph
 from .media import (MediaAssignment, MediaConfig, MediaSystem, build_zeta,
-                    equilibrium_with_media, source_opinions, sum_bounds,
-                    truncated_regular_sum)
-from .numerics import ConvergenceError, DiagPlusLaplacianOperator, solve_spd
+                    equilibrium_with_media, opinion_vector, source_opinions,
+                    sum_bounds, truncated_regular_sum)
+from .numerics import ConvergenceError, solve_spd
 
 __all__ = [
     "StopCriteria",
@@ -204,7 +203,9 @@ def analytic_summary(graph: Graph, s: np.ndarray, config: MediaConfig,
     ``lower``, ``upper``, ``exact_if_regular`` and ``ell_star`` (None where a
     form does not apply) read alpha as the realized ``count_M / n`` the solve
     sees, not ``config.alpha``.  Uncapped z_M: the :func:`sum_bounds` bracket,
-    plus :func:`ell_star` on a regular graph inside the domain it checks.
+    on a non-regular graph only for beta <= 1 (where it is proved; on a
+    regular graph it is the exact sum for every beta), plus :func:`ell_star`
+    on a regular graph inside the domain it checks.
     Capped z_M: :func:`truncated_regular_sum` on a regular graph only.
     """
     s = opinion_vector(s, graph.n)
@@ -218,7 +219,9 @@ def analytic_summary(graph: Graph, s: np.ndarray, config: MediaConfig,
             out["exact_if_regular"] = truncated_regular_sum(d, n, sum_s, realized)
         return out
     b = sum_bounds(graph, s, realized)
-    out.update(lower=b.lower, upper=b.upper, exact_if_regular=b.exact_if_regular)
+    out["exact_if_regular"] = b.exact_if_regular
+    if graph.stats.is_regular or config.beta <= 1.0:  # exact, or proved
+        out.update(lower=b.lower, upper=b.upper)
     if graph.stats.is_regular:
         with suppress(ValueError):  # outside the domain of the closed form
             out["ell_star"] = ell_star(n, sum_s, d, realized)
@@ -241,8 +244,8 @@ def alpha_half_limit(graph: Graph, beta: float, zeta0: np.ndarray,
         raise ValueError("alpha_half_limit requires a d-regular graph")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    w = MediaSystem(graph, beta).weight
+    system = MediaSystem(graph, beta)
     zeta0 = np.asarray(zeta0, dtype=np.float64).ravel()
     if zeta0.shape != (graph.n,):
         raise ValueError(f"zeta0 must have length {graph.n}")
-    return solve_spd(DiagPlusLaplacianOperator(graph, w), w * zeta0, tol=tol).solution
+    return solve_spd(system.weight_op, system.weight * zeta0, tol=tol).solution

@@ -22,9 +22,13 @@ def neighbors(graph, i):
     this read of the layout against ``adjacency``."""
     if not 0 <= i < graph.n:
         raise ValueError(f"node {i} out of range")
-    rest = slice(graph.tail_ptr[i], graph.tail_ptr[i + 1])
+    k = int(np.searchsorted(graph.tail_rows, i))
+    rest = slice(0, 0)
+    if k < graph.tail_rows.size and graph.tail_rows[k] == i:
+        ends = np.append(graph.tail_starts[1:], graph.tail.size)
+        rest = slice(graph.tail_starts[k], ends[k])
     ids = np.concatenate([graph.head[:, i], graph.tail[rest]])
-    if graph.unit_weights:
+    if graph.head_w is None:
         weights = np.ones(ids.size)
     else:
         weights = np.concatenate([graph.head_w[:, i], graph.tail_w[rest]])

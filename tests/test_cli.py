@@ -126,6 +126,23 @@ def test_bounds_ell_star_predicts_periods_at_non_integral_alpha_n(tmp_path, caps
         assert int(row["period"]) - math.ceil(ell[rep]) in (0, 1), (rep, ell[rep])
 
 
+@pytest.mark.parametrize("graph, regular", [(["ba", "--n", "300", "--m", "3"], False),
+                                            (["dreg", "--n", "300", "--d", "4"], True)],
+                         ids=["ba", "dreg"])
+def test_bracket_above_beta_one_only_on_a_regular_graph(tmp_path, capsys, graph, regular):
+    # the bracket is proved for beta <= 1; a regular graph's is the exact sum
+    out = tmp_path / "eq.csv"
+    assert run_cli(capsys, "equilibrium", "--gen", *graph, "--alpha", "0.7", "--beta", "5",
+                   "--gamma", "0.1", "--reps", "1", "--out", str(out))[0] == 0
+    with out.open() as fh:
+        (row,) = csv.DictReader(fh)
+    bracket = (row["lower"], row["upper"])
+    if regular:
+        assert bracket == (row["exact_if_regular"],) * 2 and row["lower"] != ""
+    else:
+        assert bracket == ("", "") and row["exact_if_regular"] == ""
+
+
 @pytest.mark.parametrize("mode", ["equilibrium", "periods", "nonstubborn", "bounds"])
 def test_run_without_optional_flags_uses_the_config_defaults(tmp_path, capsys, mode):
     # the CLI keeps no run defaults of its own: ExperimentConfig's apply

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fjmedia import (Graph, fj_equilibrium, fj_step, gen_barabasi_albert,
-                     gen_random_regular, opinion_vector)
+import fjmedia
+import fjmedia.fj as fj_module
+from fjmedia import (DiagPlusLaplacianOperator, Graph, MediaSystem, fj_equilibrium,
+                     fj_step, gen_barabasi_albert, gen_random_regular,
+                     load_edge_list, opinion_vector, solve_spd)
 from oracles import fj_matrix, iterate_media
 from oracles import solve as dense_solve
 
@@ -33,6 +38,10 @@ def test_opinion_vector_checks_range():
         opinion_vector([-0.1, 0.5])
     with pytest.raises(ValueError):
         opinion_vector([np.nan, 0.5])
+
+
+def test_opinion_vector_lives_in_media_and_resolves_everywhere():
+    assert fjmedia.opinion_vector is fj_module.opinion_vector is fjmedia.media.opinion_vector
 
 
 def test_opinion_vector_checks_length():
@@ -110,6 +119,35 @@ def test_methods_agree():
     direct = fj_equilibrium(g, s, tol=1e-12)
     iterated = iterate_media(g, s, 0.0, np.zeros(g.n), tol=1e-12)
     assert np.max(np.abs(direct - iterated)) <= 1e-10
+
+
+FJ_GRAPHS = {
+    "ba": lambda: gen_barabasi_albert(2000, 3, seed=1),
+    "dreg": lambda: gen_random_regular(500, 20, seed=1),
+    "weighted file": lambda: load_edge_list(Path(__file__).parent / "golden" / "weighted.edges"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FJ_GRAPHS))
+def test_equilibrium_is_the_beta_zero_media_system(monkeypatch, name):
+    # at beta = 0 the weight is exactly 0, the diagonal exactly 1.0 and the
+    # right-hand side exactly s: the iterates of a solve on I + L itself
+    g = FJ_GRAPHS[name]()
+    s = np.random.default_rng(3).uniform(0.0, 1.0, g.n)
+    systems = []
+    real = fj_module.equilibrium_with_media
+
+    def spy(system, s, zeta, tol):
+        systems.append(system)
+        return real(system, s, zeta, tol)
+
+    monkeypatch.setattr(fj_module, "equilibrium_with_media", spy)
+    z = fj_equilibrium(g, s)
+    (system,) = systems
+    assert system.graph is g and system.beta == 0.0
+    assert np.array_equal(system.op.gamma_diag, np.ones(g.n))
+    want = solve_spd(DiagPlusLaplacianOperator(g, np.ones(g.n)), s).solution
+    assert z.tobytes() == want.tobytes()
 
 
 def test_innate_length_checked():

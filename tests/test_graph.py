@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import fjmedia.graph as graph_module
-from fjmedia import (Graph, gen_barabasi_albert, gen_random_regular,
-                     laplacian_apply, load_edge_list, neighbor_sum,
+from fjmedia import (DiagPlusLaplacianOperator, Graph, gen_barabasi_albert,
+                     gen_random_regular, load_edge_list, neighbor_sum,
                      write_edge_list)
 from fjmedia.cli import main as cli_main
 from graph_cases import KERNEL_GRAPHS
@@ -92,16 +92,27 @@ def test_single_node_graph():
 
 
 # ---------------------------------------------------------------------------
-# Laplacian products
+# Laplacian products: the L x inside DiagPlusLaplacianOperator.apply
+
+
+def identity_plus_laplacian(g):
+    """I + L, whose ``apply(x) - x`` is L x up to roundoff."""
+    return DiagPlusLaplacianOperator(g, np.ones(g.n))
 
 
 def test_laplacian_kills_constants():
+    # the operator maps a constant c to gamma_diag * c, as L c = 0
     g = gen_barabasi_albert(40, 2, seed=5)
-    assert np.allclose(laplacian_apply(g, np.ones(40)), 0.0, atol=1e-14)
+    gamma = np.linspace(0.5, 2.0, g.n)
+    op = DiagPlusLaplacianOperator(g, gamma)
+    assert np.allclose(op.apply(np.full(40, 0.7)), 0.7 * gamma, atol=1e-14)
+    assert np.array_equal(op.apply(np.ones(40)), gamma)  # unit weights: d - W 1 is 0
 
 
 def test_laplacian_path_indicator():
-    assert np.array_equal(laplacian_apply(path3(), [1.0, 0.0, 0.0]), [1.0, -1.0, 0.0])
+    # L e_0 = (1, -1, 0) on the path 0-1-2
+    op = identity_plus_laplacian(path3())
+    assert np.array_equal(op.apply([1.0, 0.0, 0.0]), [2.0, -1.0, 0.0])
 
 
 def test_laplacian_matches_dense_oracle():
@@ -110,25 +121,25 @@ def test_laplacian_matches_dense_oracle():
     for g in [gen_barabasi_albert(30 + seed, 3, seed=seed) for seed in range(8)]:
         L = dense_laplacian(g)
         W = np.diag(np.diag(L)) - L
+        op = identity_plus_laplacian(g)
         for _ in range(3):
             x = rng.normal(size=g.n)
             assert np.allclose(neighbor_sum(g, x), W @ x, atol=1e-10)
-            assert np.allclose(laplacian_apply(g, x), L @ x, atol=1e-10)
+            assert np.allclose(op.apply(x), x + L @ x, atol=1e-10)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
 def test_out_gives_the_same_bits_and_matches_the_dense_oracle(name):
+    # the operator's apply is checked the same way in test_numerics
     g = KERNEL_GRAPHS[name]()
-    L = dense_laplacian(g)
-    W = np.diag(np.diag(L)) - L
+    W = adjacency(g)
     x = np.random.default_rng(5).normal(size=g.n)
-    for kernel, dense in ((neighbor_sum, W), (laplacian_apply, L)):
-        want = kernel(g, x)
-        buf = np.full(g.n, np.nan)
-        got = kernel(g, x, out=buf)
-        assert got is buf
-        assert got.tobytes() == want.tobytes(), kernel.__name__
-        assert np.allclose(want, dense @ x, atol=1e-10), kernel.__name__
+    want = neighbor_sum(g, x)
+    buf = np.full(g.n, np.nan)
+    got = neighbor_sum(g, x, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
+    assert np.allclose(want, W @ x, atol=1e-10)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
@@ -144,12 +155,12 @@ def test_neighbors_are_the_dense_adjacency_row_sorted_by_id(name):
 
 
 def test_unit_weights_is_derived_from_the_weights():
-    assert KERNEL_GRAPHS["unit dreg"]().unit_weights
-    assert KERNEL_GRAPHS["no edges, n=4"]().unit_weights
-    assert not KERNEL_GRAPHS["weights 2.0"]().unit_weights
-    assert not KERNEL_GRAPHS["mixed weights"]().unit_weights
-    assert KERNEL_GRAPHS["star"]().head_w is None
-    assert KERNEL_GRAPHS["star, mixed weights"]().tail_w is not None
+    # weights are stored only when some edge weight is not exactly 1.0
+    for name, unit in (("unit dreg", True), ("no edges, n=4", True), ("star", True),
+                       ("weights 2.0", False), ("mixed weights", False),
+                       ("star, mixed weights", False)):
+        g = KERNEL_GRAPHS[name]()
+        assert (g.head_w is None, g.tail_w is None) == (unit, unit), name
 
 
 def test_out_must_be_a_float64_vector_of_length_n():
@@ -167,7 +178,7 @@ def test_laplacian_psd_and_zero_row_sums():
     for seed in range(6):
         g = gen_random_regular(24, 4, seed=seed)
         x = rng.normal(size=g.n)
-        lx = laplacian_apply(g, x)
+        lx = identity_plus_laplacian(g).apply(x) - x
         assert x @ lx >= -1e-12          # positive semidefinite
         assert abs(lx.sum()) < 1e-10     # 1^T L x = 0
 
@@ -277,8 +288,8 @@ def test_load_table_parse_matches_the_line_reader(tmp_path, capsys, name, data,
         except ValueError as exc:
             return str(exc)
         stored = (getattr(g, f) for f in ("edge_u", "edge_v", "edge_w", "degree", "head",
-                                          "head_w", "tail", "tail_w", "tail_ptr",
-                                          "tail_rows", "tail_starts"))
+                                          "head_w", "tail", "tail_w", "tail_rows",
+                                          "tail_starts"))
         return g.n, [None if a is None else a.tobytes() for a in stored]
 
     assert outcome(load_edge_list) == outcome(graph_module._load_lines)

@@ -187,6 +187,16 @@ def test_media_system_forms_the_weight_once_read_only():
             arr[0] = 9.0
 
 
+def test_media_system_builds_each_operator_on_first_use_only():
+    g = gen_barabasi_albert(40, 2, seed=5)
+    system = MediaSystem(g, 0.5)
+    assert "op" not in vars(system) and "weight_op" not in vars(system)
+    assert system.op is system.op and system.weight_op is system.weight_op
+    assert np.array_equal(system.weight_op.gamma_diag, system.weight)
+    with pytest.raises(ValueError, match="positive"):  # diag(w) + L is singular at beta = 0
+        MediaSystem(g, 0.0).weight_op
+
+
 def test_equilibrium_input_sizes_checked():
     g = path3()
     s = np.array([0.5, 0.5, 0.5])

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from fjmedia import (ConvergenceError, DiagPlusLaplacianOperator, Graph,
-                     SolveReport, gen_barabasi_albert,
-                     gen_random_regular, solve_spd)
+                     MediaSystem, SolveReport, gen_barabasi_albert,
+                     gen_random_regular, neighbor_sum, solve_spd)
 from graph_cases import KERNEL_GRAPHS
 from oracles import laplacian as dense_laplacian
-from oracles import plain_cg
+from oracles import media_matrix, plain_cg
 from oracles import solve as dense_solve
 
 
@@ -50,6 +50,9 @@ def test_operator_apply_out_gives_the_same_bits_and_matches_dense(name):
     assert got is buf
     assert got.tobytes() == want.tobytes()
     assert np.allclose(want, (np.diag(gamma) + dense_laplacian(g)) @ x, atol=1e-10)
+    # (d x - W x) + gamma x, from the same operands in that order
+    formula = (g.degree * x - neighbor_sum(g, x)) + gamma * x
+    assert want.tobytes() == formula.tobytes()
 
 
 def test_operator_rejects_nonpositive_gamma():
@@ -253,3 +256,35 @@ def test_solve_report_solution_read_only():
     rep = SolveReport(np.array([1.0, 2.0]), 1, 0.0, 1.0)
     with pytest.raises(ValueError):
         rep.solution[0] = 9.0
+
+
+def test_operator_and_report_compare_by_identity():
+    g = path3()
+    op, twin = (DiagPlusLaplacianOperator(g, np.ones(3)) for _ in range(2))
+    rep, rep_twin = (solve_spd(op, np.ones(3)) for _ in range(2))
+    for a, b in ((op, twin), (rep, rep_twin)):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and a in {a}
+
+
+def test_residual_replacement_reuses_the_verified_product(monkeypatch):
+    # the recursion residual reaches tol once before the true one does: the
+    # check's A x restarts CG, and no product is formed twice
+    g = gen_barabasi_albert(300, 3, seed=1)
+    system = MediaSystem(g, 0.5)
+    b = np.random.default_rng(1).random(300) + 0.3 * system.weight
+    applied = []
+    real = DiagPlusLaplacianOperator.apply
+
+    def counting(op, x, out=None):
+        applied.append(x)
+        return real(op, x, out=out)
+
+    monkeypatch.setattr(DiagPlusLaplacianOperator, "apply", counting)
+    rep = solve_spd(system.op, b, tol=1e-15)
+    verifications = sum(x is rep.solution for x in applied)
+    assert (rep.iterations, verifications) == (23, 2)  # one restart, then the pass
+    assert len(applied) == rep.iterations + verifications
+    assert rep.residual <= 1e-15
+    want = dense_solve(media_matrix(g, 0.5), b)
+    assert np.max(np.abs(rep.solution - want)) <= 1e-12 * np.max(np.abs(want))

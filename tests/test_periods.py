@@ -121,7 +121,9 @@ def test_opinion_excursion_beyond_the_solve_tolerance_raises(monkeypatch, spill,
         assert traj.final_state.max() == 1.0
 
 
-def test_a_run_builds_one_operator(monkeypatch):
+@pytest.fixture
+def built_operators(monkeypatch):
+    """Every DiagPlusLaplacianOperator built while the test runs."""
     built = []
     real = DiagPlusLaplacianOperator.__post_init__
 
@@ -130,6 +132,10 @@ def test_a_run_builds_one_operator(monkeypatch):
         real(op)
 
     monkeypatch.setattr(DiagPlusLaplacianOperator, "__post_init__", counting)
+    return built
+
+
+def test_a_run_builds_one_operator(built_operators):
     g = gen_random_regular(40, 4, seed=3)
     s0 = np.random.default_rng(3).uniform(0.2, 0.6, g.n)
     stop = StopCriteria(up_threshold=0.99, epsilon=1e-4, max_periods=50,
@@ -137,7 +143,7 @@ def test_a_run_builds_one_operator(monkeypatch):
     traj = run_periods(g, s0, MediaConfig(0.5, 0.5, 0.1), assign_media(g, 0.5, seed=1),
                        stop)
     assert (traj.stop_cause, traj.periods_run) == ("max_periods", 50)
-    assert len(built) == 1
+    assert len(built_operators) == 1
 
 
 def test_assignment_size_checked():
@@ -295,6 +301,15 @@ def test_alpha_half_limit_cycle_frozen():
     limit = alpha_half_limit(cycle4(), 1.0, np.array([1.0, 1.0, 0.0, 0.0]),
                              tol=1e-13)
     assert np.allclose(limit, [0.8, 0.8, 0.2, 0.2], atol=1e-10)
+
+
+def test_alpha_half_limit_builds_one_operator(built_operators):
+    # the system's diag(w) + L, and not the unused (1 + w) one beside it
+    g = gen_random_regular(40, 4, seed=3)
+    zeta0 = np.random.default_rng(3).uniform(0.2, 0.6, g.n)
+    alpha_half_limit(g, 0.5, zeta0)
+    (op,) = built_operators
+    assert np.array_equal(op.gamma_diag, 0.5 * (1.0 + g.degree))
 
 
 def test_alpha_half_limit_rejections():
