@@ -17,6 +17,54 @@ do not move by a bit.  A right-hand side whose norm overflows, or a CG
 scalar that turns non-finite, stops the solve at once with an error; one
 whose norm would underflow is solved scaled up by a power of two, which is
 exact.
+
+The stop is certified.  CG updates its residual by recursion, and in floating
+point r_k drifts from b - A x_k.  A solve may stop only when the residual as
+``solve_spd`` measures it, ||fl(A x) - b||_2 / ||b||_2, is at most tol, and it
+proves that without the product A x whenever a rounding bound on the drift
+allows (Greenbaum 1997, *Estimating the attainable accuracy of recursively
+computed residual methods*, SIMAX 18(3); van der Vorst & Ye 2000, *Residual
+replacement strategies for Krylov subspace iterative methods*, SISC 22(3)).
+With u = 2**-53 and gamma_m = m u / (1 - m u), each operation is exact times
+(1 + delta), |delta| <= u, plus at most 2**-1075 for a product that
+underflows; a dot product of n terms is off by at most gamma_n times the
+sum of their magnitudes, in any summation order.  Let K be the longest
+adjacency row (head plus tail), g = gamma_diag, and c_A = max_i(g_i + 2 d_i),
+the largest row sum of |A|, which bounds ||A||_2 and || |A| ||_2.  Then:
+
+- fl(A p) = A p + eta with |eta| <= gamma_{K+3} |A| |p|: a neighbour term
+  sees its weight product, at most K - 1 additions, the subtraction from
+  d*p and the addition of g*p, and a diagonal term at most three
+  roundings.
+- The gap f_k = b - A x_k - r_k starts at f_0 = 0, as r_0 = b exactly.  The
+  updates x_k = x_{k-1} + alpha p + xi and r_k = r_{k-1} - alpha fl(A p) +
+  rho give f_k = f_{k-1} - A xi - rho + alpha eta.  The terms in
+  |alpha| ||p|| (alpha eta and the roundings of alpha fl(A p) and alpha p)
+  sum to at most gamma_{K+5} c_A |alpha| ||p||, so
+  ||f_k|| <= ||f_{k-1}|| + c_A (gamma_{K+5} |alpha| ||p|| + u ||x_k||) + u ||r_k||
+  with ||x_k|| <= X_k = X_{k-1} + |alpha| ||p||, the sum of the steps.
+- A norm formed as sqrt(fl(v . v)) is within a factor 1 + gamma_{2n+1} of
+  ||v||, plus sqrt(n) 2**-537 for squares that underflow.  Measuring adds
+  gamma_{K+3} c_A ||x|| for fl(A x) and a factor 1 + gamma_{n+2} for the
+  subtraction and the norm.
+
+So the measured ||fl(A x_k) - b|| is at most
+
+    B_k = (1 + (6n + 12) u) ||r_k|| + 2 (G_k + gamma_{K+3} c_A X_k),
+
+where ||r_k|| is the computed norm, G_k sums the gap terms above, and both
+G_k and the apply term carry absolute underflow terms of order sqrt(n)
+2**-537.  The first factor is at least 1 + gamma_{3n+5}: the inflation of
+||r_k|| by its norm and by the measurement, and the rounding of B_k itself.
+The factor 2 covers the relative error of every other computed factor (the
+norms, c_A, X_k and the sums and products that form B_k), which together
+stay below gamma_{44n+20} <= 1 for n < 2**46.  Rounding is monotone, so
+fl(B_k / ||b||) bounds the measured relative residual.  When the recursion
+residual meets tol and that quotient is at most tol, the solve returns it
+as the residual, marked certified.  Otherwise it forms A x, returns the
+measured residual if that meets tol, and else restarts CG from
+r = b - fl(A x) (residual replacement), where the gap restarts at
+u ||b - fl(A x)|| + gamma_{K+3} c_A X_k.
 """
 
 from __future__ import annotations
@@ -37,6 +85,8 @@ __all__ = [
 
 # below this max|b|, the squares in ||b||_2 can underflow to 0
 _TINY = 2.0 ** -500
+# the unit roundoff of float64
+_U = 2.0 ** -53
 
 
 class ConvergenceError(RuntimeError):
@@ -60,12 +110,17 @@ class DiagPlusLaplacianOperator:
     operator positive definite (L alone is only semidefinite).  ``inv_diag``,
     the Jacobi scaling of ``solve_spd``, is diag.max() / diag for the operator's
     diagonal gamma_diag + degree, so a constant diagonal gives exactly 1.0.
-    In the package only ``media.MediaSystem`` builds one.
+    ``abs_norm`` = max(gamma_diag + 2 degree) bounds || |A| ||_2, and
+    ``k_max`` is the longest adjacency row: the two constants of the
+    certified stop in ``solve_spd``.  In the package only
+    ``media.MediaSystem`` builds one.
     """
 
     graph: Graph
     gamma_diag: np.ndarray
     inv_diag: np.ndarray = field(init=False, repr=False)
+    abs_norm: float = field(init=False, repr=False)
+    k_max: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gamma_diag, dtype=np.float64).ravel()
@@ -78,6 +133,10 @@ class DiagPlusLaplacianOperator:
         for name, arr in (("gamma_diag", g), ("inv_diag", diag.max() / diag)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        graph = self.graph
+        tail_len = np.diff(graph.tail_starts, append=graph.tail.size)
+        object.__setattr__(self, "abs_norm", float((diag + graph.degree).max()))
+        object.__setattr__(self, "k_max", graph.head.shape[0] + int(tail_len.max(initial=0)))
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``gamma_diag * x + L x``, written into ``out`` when given.
@@ -97,14 +156,18 @@ class DiagPlusLaplacianOperator:
 class SolveReport:
     """Solution plus how hard the solver worked.
 
-    ``residual`` is relative: ||A x - b|| / ||b|| in the 2-norm, and
-    ``rhs_norm`` is ||b||_2 of the right-hand side as given.
+    ``residual`` is relative, ||A x - b|| / ||b|| in the 2-norm, and
+    ``rhs_norm`` is ||b||_2 of the right-hand side as given.  When
+    ``certified`` is False the residual was measured from a computed A x;
+    when True it is a proven upper bound on that measured value, and no
+    A x was formed (see the ``numerics`` module docstring).
     """
 
     solution: np.ndarray
     iterations: int
     residual: float
     rhs_norm: float
+    certified: bool = False
 
     def __post_init__(self) -> None:
         sol = np.asarray(self.solution, dtype=np.float64)
@@ -117,9 +180,10 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10
     """Jacobi-preconditioned conjugate gradient on ``op.apply(x) = rhs``.
 
     Stops when the relative residual ||A x - b||_2 / ||b||_2 drops to ``tol``,
-    which must lie in (0, 1) (verified against a freshly computed residual,
-    not just the CG recursion).  The stop test reads the unpreconditioned
-    residual.
+    which must lie in (0, 1).  The stop test reads the unpreconditioned
+    recursion residual; the true one is then either certified by a proven
+    rounding bound or measured from a freshly computed A x, and
+    ``SolveReport.certified`` says which.
     ``max_iter`` defaults to 10n.  Raises :class:`ConvergenceError` if the cap
     is hit first, or as soon as a CG scalar or the residual is not finite;
     raises ``ValueError`` when ||b||_2 is not finite (it overflows, or b holds
@@ -141,7 +205,8 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10
             k = -math.frexp(b_max)[1]
             scaled = solve_spd(op, np.ldexp(b, k), tol, max_iter)
             return SolveReport(np.ldexp(scaled.solution, -k), scaled.iterations,
-                               scaled.residual, math.ldexp(scaled.rhs_norm, -k))
+                               scaled.residual, math.ldexp(scaled.rhs_norm, -k),
+                               scaled.certified)
         b_norm = float(np.linalg.norm(b))
         if not math.isfinite(b_norm):
             raise ValueError(f"conjugate gradient cannot start: ||b||_2 is {b_norm} at "
@@ -155,6 +220,15 @@ def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float
          max_iter: int) -> SolveReport:
     n = b.size
     inv_diag = op.inv_diag
+    # the certified stop's constants and state, as in the module docstring:
+    # gap bounds ||b - A x - r||, x_bound bounds ||x||, and tiny is the most
+    # that underflow can hide in a norm
+    c_a = op.abs_norm
+    apply_err, step_err = _gamma(op.k_max + 3) * c_a, _gamma(op.k_max + 5) * c_a
+    tiny = math.sqrt(n) * 2.0 ** -537
+    under, under_alpha = tiny * (1.0 + c_a), tiny * (op.k_max + 3)
+    r_factor = 1.0 + (6 * n + 12) * _U
+    gap = x_bound = 0.0
     x = np.zeros(n)
     r = b.copy()
     p = inv_diag * r
@@ -165,14 +239,25 @@ def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float
         alpha = rz / _finite("p.Ap", float(p @ ap), k)
         x += np.multiply(alpha, p, out=work)
         r -= np.multiply(alpha, ap, out=work)
-        if np.sqrt(_finite("r.r", float(r @ r), k)) <= tol * b_norm:
-            # the recursion residual drifts from the true one; trust but verify
+        r_norm = math.sqrt(_finite("r.r", float(r @ r), k))
+        # an inf or nan here only ever blocks the certified stop
+        step = abs(alpha) * (math.sqrt(float(p @ p)) + tiny)
+        x_bound += step
+        gap += (step_err * step + c_a * _U * x_bound + _U * r_norm
+                + under + under_alpha * abs(alpha))
+        if r_norm <= tol * b_norm:
+            bound = r_factor * r_norm + _rounding_bound(gap, apply_err * x_bound, tiny)
+            bound /= b_norm
+            if bound <= tol:
+                return SolveReport(x, k, bound, b_norm, certified=True)
+            # the bound is too loose to decide: measure the true residual
             op.apply(x, out=ap)
-            true_res = _finite("the residual", float(np.linalg.norm(
-                np.subtract(ap, b, out=work))) / b_norm, k)
+            res_norm = float(np.linalg.norm(np.subtract(ap, b, out=work)))
+            true_res = _finite("the residual", res_norm / b_norm, k)
             if true_res <= tol:
                 return SolveReport(x, k, true_res, b_norm)
             np.subtract(b, ap, out=r)  # ap still holds A x
+            gap = _U * res_norm + apply_err * x_bound + 2.0 * tiny
             np.multiply(inv_diag, r, out=p)
             rz = _finite("r.z", float(r @ p), k)
             continue
@@ -189,6 +274,18 @@ def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float
         iterations=max_iter,
         residual=final,
     )
+
+
+def _gamma(m: int) -> float:
+    # gamma_m: the relative error bound of m roundings
+    return m * _U / (1.0 - m * _U)
+
+
+def _rounding_bound(gap: float, apply_error: float, tiny: float) -> float:
+    # what rounding can add to ||fl(A x) - b|| beyond the recursion residual:
+    # the gap, fl(A x)'s own error, and underflow in A x, in the residual and
+    # in its norm; doubled to cover the rounding of the bound itself
+    return 2.0 * (gap + apply_error + 3.0 * tiny)
 
 
 def _finite(name: str, value: float, iteration: int) -> float:

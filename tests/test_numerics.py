@@ -1,15 +1,17 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fjmedia import (ConvergenceError, DiagPlusLaplacianOperator, Graph,
                      MediaSystem, SolveReport, gen_barabasi_albert,
-                     gen_random_regular, neighbor_sum, solve_spd)
+                     gen_random_regular, load_edge_list, neighbor_sum,
+                     numerics, solve_spd)
 from graph_cases import KERNEL_GRAPHS
+from oracles import adjacency, media_matrix, neighbors, plain_cg
 from oracles import laplacian as dense_laplacian
-from oracles import media_matrix, plain_cg
 from oracles import solve as dense_solve
 
 
@@ -53,6 +55,17 @@ def test_operator_apply_out_gives_the_same_bits_and_matches_dense(name):
     # (d x - W x) + gamma x, from the same operands in that order
     formula = (g.degree * x - neighbor_sum(g, x)) + gamma * x
     assert want.tobytes() == formula.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+def test_operator_bound_constants(name):
+    # k_max is the longest adjacency row, abs_norm bounds || |A| ||_2
+    g = KERNEL_GRAPHS[name]()
+    gamma = np.random.default_rng(3).uniform(0.1, 3.0, g.n)
+    op = DiagPlusLaplacianOperator(g, gamma)
+    assert op.k_max == max(len(neighbors(g, i)) for i in range(g.n))
+    abs_a = np.diag(gamma) + np.diag(adjacency(g).sum(axis=1)) + adjacency(g)
+    assert np.linalg.eigvalsh(abs_a).max() <= op.abs_norm * (1 + 1e-12)
 
 
 def test_operator_rejects_nonpositive_gamma():
@@ -111,13 +124,22 @@ def test_cg_matches_dense_oracle():
 
 
 def test_reported_residual_is_true_residual():
+    # measured ||A x - b|| / ||b|| <= residual <= tol on every solve: a
+    # measured residual is that value, a certified one a bound above it
     g = gen_barabasi_albert(80, 3, seed=3)
     op = DiagPlusLaplacianOperator(g, np.full(g.n, 0.5))
-    b = np.random.default_rng(5).normal(size=g.n)
-    rep = solve_spd(op, b, tol=1e-10)
-    check = np.linalg.norm(op.apply(rep.solution) - b) / np.linalg.norm(b)
-    assert rep.residual <= 1e-10
-    assert abs(rep.residual - check) <= 1e-14
+    rng = np.random.default_rng(5)
+    seen = set()
+    for tol in (1e-6, 1e-10, 1e-13, 1e-15):
+        for _ in range(4):
+            b = rng.normal(size=g.n)
+            rep = solve_spd(op, b, tol=tol)
+            check = np.linalg.norm(op.apply(rep.solution) - b) / np.linalg.norm(b)
+            assert check <= rep.residual <= tol
+            if not rep.certified:
+                assert abs(rep.residual - check) <= 1e-14
+            seen.add(rep.certified)
+    assert seen == {True, False}
 
 
 def test_inverse_positivity():
@@ -162,7 +184,9 @@ def test_rhs_whose_norm_underflows_is_solved_scaled():
     assert np.linalg.norm(tiny) == 0.0
     rep, ref = solve_spd(op, tiny), solve_spd(op, b)
     assert np.array_equal(rep.solution, np.ldexp(ref.solution, -600))
-    assert (rep.iterations, rep.residual) == (ref.iterations, ref.residual)
+    assert ref.certified
+    assert ((rep.iterations, rep.residual, rep.certified)
+            == (ref.iterations, ref.residual, ref.certified))
     assert rep.rhs_norm == math.ldexp(ref.rhs_norm, -600) > 0.0
 
 
@@ -267,12 +291,7 @@ def test_operator_and_report_compare_by_identity():
         assert len({a, b, a}) == 2 and a in {a}
 
 
-def test_residual_replacement_reuses_the_verified_product(monkeypatch):
-    # the recursion residual reaches tol once before the true one does: the
-    # check's A x restarts CG, and no product is formed twice
-    g = gen_barabasi_albert(300, 3, seed=1)
-    system = MediaSystem(g, 0.5)
-    b = np.random.default_rng(1).random(300) + 0.3 * system.weight
+def _count_applies(monkeypatch):
     applied = []
     real = DiagPlusLaplacianOperator.apply
 
@@ -281,10 +300,81 @@ def test_residual_replacement_reuses_the_verified_product(monkeypatch):
         return real(op, x, out=out)
 
     monkeypatch.setattr(DiagPlusLaplacianOperator, "apply", counting)
+    return applied
+
+
+def _replacement_case():
+    system = MediaSystem(gen_barabasi_albert(300, 3, seed=1), 0.5)
+    return system, np.random.default_rng(1).random(300) + 0.3 * system.weight
+
+
+def test_residual_replacement_reuses_the_verified_product(monkeypatch):
+    # the recursion residual reaches tol once before the true one does: the
+    # check's A x restarts CG, and no product is formed twice
+    system, b = _replacement_case()
+    applied = _count_applies(monkeypatch)
     rep = solve_spd(system.op, b, tol=1e-15)
     verifications = sum(x is rep.solution for x in applied)
     assert (rep.iterations, verifications) == (23, 2)  # one restart, then the pass
     assert len(applied) == rep.iterations + verifications
-    assert rep.residual <= 1e-15
-    want = dense_solve(media_matrix(g, 0.5), b)
+    assert rep.residual <= 1e-15 and not rep.certified
+    want = dense_solve(media_matrix(system.graph, 0.5), b)
     assert np.max(np.abs(rep.solution - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_certified_one_step_solve_forms_no_verification_product(monkeypatch):
+    # near consensus on a regular graph CG stops after one step, as most
+    # periods of a radicalisation run do, and the proven bound stands in
+    # for the product that would check it
+    g = gen_random_regular(200, 6, seed=3)
+    op = MediaSystem(g, 0.025).op
+    b = 0.5 + 1e-13 * np.random.default_rng(2).normal(size=g.n)
+    applied = _count_applies(monkeypatch)
+    rep = solve_spd(op, b, tol=1e-10)
+    assert (rep.iterations, rep.certified) == (1, True)
+    assert len(applied) == rep.iterations
+
+
+def test_a_bound_too_small_is_caught_by_the_residual_hook(monkeypatch, residual_hook):
+    # at 1e-6 of the proven bound the replacement case certifies its first
+    # stop, whose measured residual is above tol, and the hook refuses it
+    system, b = _replacement_case()
+    real = numerics._rounding_bound
+    monkeypatch.setattr(numerics, "_rounding_bound", lambda *args: 1e-6 * real(*args))
+    with pytest.raises(AssertionError, match="a certified solve stopped at iteration"):
+        solve_spd(system.op, b, tol=1e-15)
+    rep = residual_hook(system.op, b, float(np.linalg.norm(b)), 1e-15, 10 * b.size)
+    measured = np.linalg.norm(system.op.apply(rep.solution) - b) / np.linalg.norm(b)
+    assert rep.certified and rep.iterations < 23
+    assert measured > 1e-15
+
+
+def _wide_weights():
+    g = gen_barabasi_albert(200, 3, seed=5)
+    weights = 10.0 ** np.random.default_rng(0).uniform(-6.0, 6.0, g.m)
+    return Graph(g.n, g.edge_u, g.edge_v, weights)
+
+
+EDGE_GRAPHS = {
+    "n=1": lambda: _no_edge_graph(1),
+    "dense dreg n=60 d=56": lambda: gen_random_regular(60, 56, seed=0),
+    "weighted file": lambda: load_edge_list(Path(__file__).parent / "golden" / "weighted.edges"),
+    "weights 1e-6 to 1e6": _wide_weights,
+}
+
+
+@pytest.mark.parametrize("tol", [0.5, 1e-15])
+@pytest.mark.parametrize("beta", [0.5, 1e3])
+@pytest.mark.parametrize("name", sorted(EDGE_GRAPHS))
+def test_edge_inputs_meet_tol_as_measured(name, beta, tol):
+    # the residual hook checks every solve; a constant diagonal keeps the
+    # iterates of plain CG, certified stop or not
+    op = MediaSystem(EDGE_GRAPHS[name](), beta).op
+    b = np.random.default_rng(4).uniform(0.0, 1.0, op.graph.n)
+    rep = solve_spd(op, b, tol=tol)
+    measured = np.linalg.norm(op.apply(rep.solution) - b) / np.linalg.norm(b)
+    assert measured <= rep.residual <= tol
+    if np.all(op.inv_diag == 1.0):
+        want, iterations = plain_cg(op, b, tol)
+        assert np.array_equal(rep.solution, want)
+        assert rep.iterations == iterations
