@@ -72,6 +72,7 @@ class Graph:
     ``tail_starts`` the offsets of their runs in ``tail``; each run ends
     where the next begins.  ``head_w`` and ``tail_w`` hold the edge weights
     alongside, or are both None when every edge weight is exactly 1.0.
+    ``longest_row`` is the largest row length, K plus the longest tail run.
     Arrays are set read-only so instances can be shared freely between runs.
 
     Construct through :meth:`from_edges`, the generators, or
@@ -89,6 +90,7 @@ class Graph:
     tail_w: np.ndarray | None = field(init=False, repr=False)
     tail_rows: np.ndarray = field(init=False, repr=False)
     tail_starts: np.ndarray = field(init=False, repr=False)
+    longest_row: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -148,6 +150,7 @@ class Graph:
             if arr is not None:
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "longest_row", int(counts.max()))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

@@ -105,7 +105,6 @@ class ExperimentConfig:
     tol: float = 1e-10
     max_periods: int = 1000
     epsilon: float | None = None  # None means 10/n
-    fixed_point_tol: float | None = 1e-10
     output: str | None = None
 
     def __post_init__(self) -> None:
@@ -219,16 +218,14 @@ def run_experiment(config: ExperimentConfig):
         # a generator returns exactly config.graph.n nodes
         stop = StopCriteria.for_run(
             config.gamma, file_graph.n if file_graph else config.graph.n,
-            max_periods=config.max_periods, epsilon=config.epsilon,
-            fixed_point_tol=config.fixed_point_tol)
-        for key in ("max_periods", "fixed_point_tol"):
-            manifest.add(key, getattr(config, key))
+            max_periods=config.max_periods, epsilon=config.epsilon)
+        manifest.add("max_periods", config.max_periods)
+        manifest.add("fixed_point_tol", stop.fixed_point_tol)
         manifest.add("epsilon", stop.epsilon)
     else:
         stop = None
 
     rows: list[dict] = []
-    rep_entries: list[tuple[str, str]] = []
 
     for i in range(config.repetitions):
         rep_seed = config.base_seed + i
@@ -246,21 +243,14 @@ def run_experiment(config: ExperimentConfig):
             raise ValueError(f"repetition {i}: {exc}") from exc
 
         st = graph.stats
-        pre = f"rep{i}"
-        rep_entries.extend([
-            (f"{pre}.seed", _fmt(rep_seed)),
-            (f"{pre}.graph_seed", _fmt(graph_seed)),
-            (f"{pre}.innate_seed", _fmt(innate_seed)),
-            (f"{pre}.assign_seed", _fmt(assign_seed)),
-            (f"{pre}.graph.n", _fmt(st.n)),
-            (f"{pre}.graph.edges", _fmt(st.m)),
-            (f"{pre}.graph.d_min", _fmt(st.d_min)),
-            (f"{pre}.graph.d_max", _fmt(st.d_max)),
-            (f"{pre}.graph.is_regular", _fmt(st.is_regular)),
-            (f"{pre}.count_M", _fmt(assignment.count_M)),
-        ])
+        for key, value in (("seed", rep_seed), ("graph_seed", graph_seed),
+                           ("innate_seed", innate_seed), ("assign_seed", assign_seed),
+                           ("graph.n", st.n), ("graph.edges", st.m),
+                           ("graph.d_min", st.d_min), ("graph.d_max", st.d_max),
+                           ("graph.is_regular", st.is_regular),
+                           ("count_M", assignment.count_M)):
+            manifest.add(f"rep{i}.{key}", value)
 
-    manifest.entries.extend(rep_entries)
     if config.output:
         _write_outputs(config, manifest, rows)
     return manifest, rows
@@ -278,25 +268,24 @@ def _run_one(config, rep, graph, s, assignment, stop):
         ]
 
     sum_s = float(s.sum())
-    src = source_opinions(s, config.gamma)
     if config.mode == "nonstubborn":
         z, z_m_star = nonstubborn_equilibrium(graph, s, media, tol=config.tol)
         bound = (1.0 + (1.0 + config.gamma) / graph.n) * sum_s
         return [{"rep": rep, "sum_s": sum_s, "sum_z": float(z.sum()),
-                 "mean_z": float(z.mean()), "s_M": src.z_M, "z_M_star": z_m_star,
-                 "bound": bound}]
+                 "mean_z": float(z.mean()), "s_M": source_opinions(s, config.gamma).z_M,
+                 "z_M_star": z_m_star, "bound": bound}]
 
     summary = analytic_summary(graph, s, media, assignment)
-    if config.mode == "equilibrium":
-        zeta = build_zeta(assignment, src.z_M, src.z_Mprime)
-        z = equilibrium_with_media(MediaSystem(graph, config.beta), s, zeta,
-                                   tol=config.tol).solution
-        return [{"rep": rep, "sum_s": sum_s, "sum_z": float(z.sum()),
-                 **{k: summary[k] for k in ("lower", "upper", "exact_if_regular")},
-                 "truncated": src.truncated}]
+    if config.mode == "bounds":  # formulas only, no solve
+        return [{"rep": rep, "sum_s": sum_s, **summary}]
 
-    # bounds mode: formulas only, no solve
-    return [{"rep": rep, "sum_s": sum_s, **summary}]
+    src = source_opinions(s, config.gamma)
+    zeta = build_zeta(assignment, src.z_M, src.z_Mprime)
+    z = equilibrium_with_media(MediaSystem(graph, config.beta), s, zeta,
+                               tol=config.tol).solution
+    return [{"rep": rep, "sum_s": sum_s, "sum_z": float(z.sum()),
+             **{k: summary[k] for k in ("lower", "upper", "exact_if_regular")},
+             "truncated": src.truncated}]
 
 
 def rows_to_csv(mode: str, rows: list[dict]) -> str:
@@ -334,13 +323,19 @@ def config_from_manifest(text: str, output: str | None = None) -> ExperimentConf
             continue
         k, _, v = line.partition("=")
         kv[k.strip()] = v.strip()
+    # every periods run stops at StopCriteria's default; rerunning a manifest
+    # that records another value (0.1.8 wrote "" for none) would change the stop
+    recorded, fixed = kv.get("fixed_point_tol"), _fmt(StopCriteria.fixed_point_tol)
+    if recorded not in (None, fixed):
+        raise ValueError(f"fixed_point_tol = {recorded!r} cannot be rerun: every "
+                         f"run stops at {fixed}")
     kind = kv["graph.kind"]
     graph = GraphSpec(kind, sha256=kv.get("graph.sha256"), **{
         p: kv[f"graph.{p}"] if p == "path" else int(kv[f"graph.{p}"])
         for p in GraphSpec.SOURCES.get(kind, ())})
     # a config field without a manifest line (max_periods outside periods
-    # mode) keeps its default; an empty value is how _fmt writes None
+    # mode) keeps its default
     casts = {"mode": str, "repetitions": int, "base_seed": int, "max_periods": int}
-    run = {k: casts.get(k, float)(kv[k]) if kv[k] else None
+    run = {k: casts.get(k, float)(kv[k])
            for k in (f.name for f in fields(ExperimentConfig)) if k in kv}
     return ExperimentConfig(graph=graph, output=output, **run)

@@ -29,8 +29,9 @@ With u = 2**-53 and gamma_m = m u / (1 - m u), each operation is exact times
 (1 + delta), |delta| <= u, plus at most 2**-1075 for a product that
 underflows; a dot product of n terms is off by at most gamma_n times the
 sum of their magnitudes, in any summation order.  Let K be the longest
-adjacency row (head plus tail), g = gamma_diag, and c_A = max_i(g_i + 2 d_i),
-the largest row sum of |A|, which bounds ||A||_2 and || |A| ||_2.  Then:
+adjacency row (``Graph.longest_row``), g = gamma_diag, and
+c_A = max_i(g_i + 2 d_i), the largest row sum of |A|, which bounds ||A||_2
+and || |A| ||_2.  Then:
 
 - fl(A p) = A p + eta with |eta| <= gamma_{K+3} |A| |p|: a neighbour term
   sees its weight product, at most K - 1 additions, the subtraction from
@@ -64,7 +65,10 @@ residual meets tol and that quotient is at most tol, the solve returns it
 as the residual, marked certified.  Otherwise it forms A x, returns the
 measured residual if that meets tol, and else restarts CG from
 r = b - fl(A x) (residual replacement), where the gap restarts at
-u ||b - fl(A x)|| + gamma_{K+3} c_A X_k.
+u ||b - fl(A x)|| + gamma_{K+3} c_A X_k.  A measured residual that is not
+below the smallest one measured before it in the solve shows that tol lies
+under the accuracy rounding lets CG attain: the solve then stops with an
+error instead of measuring again at each iteration up to its cap.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ _U = 2.0 ** -53
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when conjugate gradient hits its iteration cap or breaks down.
+    """Raised when conjugate gradient hits its cap, stagnates or breaks down.
 
     Carries the iteration count and the last residual so callers can report
     how close the solve got.
@@ -133,10 +137,8 @@ class DiagPlusLaplacianOperator:
         for name, arr in (("gamma_diag", g), ("inv_diag", diag.max() / diag)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        graph = self.graph
-        tail_len = np.diff(graph.tail_starts, append=graph.tail.size)
-        object.__setattr__(self, "abs_norm", float((diag + graph.degree).max()))
-        object.__setattr__(self, "k_max", graph.head.shape[0] + int(tail_len.max(initial=0)))
+        object.__setattr__(self, "abs_norm", float((diag + self.graph.degree).max()))
+        object.__setattr__(self, "k_max", self.graph.longest_row)
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``gamma_diag * x + L x``, written into ``out`` when given.
@@ -185,7 +187,9 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10
     rounding bound or measured from a freshly computed A x, and
     ``SolveReport.certified`` says which.
     ``max_iter`` defaults to 10n.  Raises :class:`ConvergenceError` if the cap
-    is hit first, or as soon as a CG scalar or the residual is not finite;
+    is hit first, if a measured residual fails to drop below the smallest one
+    measured before it (the solve stagnated above tol), or as soon as a CG
+    scalar or the residual is not finite;
     raises ``ValueError`` when ||b||_2 is not finite (it overflows, or b holds
     inf or nan).  A right-hand side whose largest entry is below 2**-500 is
     solved scaled up by a power of two, since its norm would underflow to 0.
@@ -229,6 +233,7 @@ def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float
     under, under_alpha = tiny * (1.0 + c_a), tiny * (op.k_max + 3)
     r_factor = 1.0 + (6 * n + 12) * _U
     gap = x_bound = 0.0
+    best = math.inf  # the smallest residual measured so far
     x = np.zeros(n)
     r = b.copy()
     p = inv_diag * r
@@ -256,6 +261,12 @@ def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float
             true_res = _finite("the residual", res_norm / b_norm, k)
             if true_res <= tol:
                 return SolveReport(x, k, true_res, b_norm)
+            if true_res >= best:
+                raise ConvergenceError(
+                    f"conjugate gradient did not reach tol={tol:g}: the measured "
+                    f"residual stagnated at {best:.3e} (iteration {k}: {true_res:.3e})",
+                    iterations=k, residual=true_res)
+            best = true_res
             np.subtract(b, ap, out=r)  # ap still holds A x
             gap = _U * res_norm + apply_err * x_bound + 2.0 * tiny
             np.multiply(inv_diag, r, out=p)

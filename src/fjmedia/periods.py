@@ -97,7 +97,6 @@ class PeriodRecord:
 class PeriodTrajectory:
     records: list[PeriodRecord] = field(default_factory=list)
     stop_cause: str = ""
-    ell_star_predicted: float | None = None  # analytic_summary's ell_star
     final_state: np.ndarray | None = None  # per-node opinions at stop time
 
     @property
@@ -131,8 +130,9 @@ def run_periods(graph: Graph, s0: np.ndarray, config: MediaConfig,
     The trajectory keeps the last equilibrium as ``final_state``.
     """
     s = opinion_vector(s0, graph.n)
-    traj = PeriodTrajectory(
-        ell_star_predicted=analytic_summary(graph, s, config, assignment)["ell_star"])
+    if assignment.n != graph.n:
+        raise ValueError("assignment size does not match graph")
+    traj = PeriodTrajectory()
     system = MediaSystem(graph, config.beta)
 
     src = source_opinions(s, config.gamma)
@@ -140,7 +140,8 @@ def run_periods(graph: Graph, s0: np.ndarray, config: MediaConfig,
                                      src.z_M, src.z_Mprime, src.truncated))
 
     for t in range(1, stop.max_periods + 1):
-        src = source_opinions(s, config.gamma)
+        if t > 1:  # period 1 consumes record 0's pair
+            src = source_opinions(s, config.gamma)
         zeta = build_zeta(assignment, src.z_M, src.z_Mprime)
         try:
             report = equilibrium_with_media(system, s, zeta, tol=tol)

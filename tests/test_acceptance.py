@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fjmedia import (MediaConfig, MediaSystem, StopCriteria, alpha_half_limit,
-                     assign_media, build_zeta, ell_star,
+                     analytic_summary, assign_media, build_zeta, ell_star,
                      equilibrium_with_media, fj_equilibrium,
                      gen_barabasi_albert, gen_random_regular,
                      nonstubborn_equilibrium, run_periods, sample_innate,
@@ -174,7 +174,7 @@ def test_criterion_06_ell_star_prediction():
     # sampled innate state: compare against the run's own prediction
     s0 = sample_innate(500, 0.5, math.sqrt(0.2), seed=1)
     traj = run_periods(g, s0, config, a, stop, tol=1e-10)
-    pred = traj.ell_star_predicted
+    pred = analytic_summary(g, s0, config, a)["ell_star"]
     assert traj.stop_cause == "radicalized_up"
     assert pred is not None
     assert traj.periods_run in (math.ceil(pred), math.ceil(pred) + 1)

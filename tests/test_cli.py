@@ -351,6 +351,18 @@ def test_overflowing_media_strength_exits_before_any_cg_iteration():
     assert "||b||_2 is inf at iteration 0" in proc.stderr
 
 
+def test_periods_run_refuses_an_overflowing_right_hand_side_at_the_solve():
+    # beta * (1 + d) is finite; a periods run computes no sum bound, so the
+    # first solve is what names the overflow
+    proc = _run_module("periods", "--gen", "dreg", "--n", "50", "--d", "4",
+                       "--alpha", "0.9", "--beta", "3.5e307", "--gamma", "0.1",
+                       "--reps", "1", timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "error: repetition 0: " in proc.stderr
+    assert "||b||_2 is inf at iteration 0" in proc.stderr
+
+
 @pytest.mark.parametrize("mode", ["equilibrium", "periods", "nonstubborn", "bounds"])
 def test_beta_whose_media_weight_overflows_names_beta(mode):
     # bounds runs no solve: only its closed forms can refuse the beta

@@ -150,6 +150,7 @@ def test_neighbors_are_the_dense_adjacency_row_sorted_by_id(name):
     k = int(row_lengths.min())
     assert g.head.shape == (k, g.n)
     assert g.tail.size == row_lengths.sum() - k * g.n
+    assert g.longest_row == row_lengths.max()
     for i in range(g.n):
         assert neighbors(g, i) == [(int(j), float(W[i, j])) for j in np.flatnonzero(W[i])]
 

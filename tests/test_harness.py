@@ -169,8 +169,7 @@ def test_equilibrium_truncated_rows():
 
 def test_periods_rows_shape():
     _, rows = run_experiment(dreg_config(mode="periods", max_periods=4,
-                                         epsilon=0.01,
-                                         fixed_point_tol=None))
+                                         epsilon=0.01))
     by_rep = {}
     for row in rows:
         by_rep.setdefault(row["rep"], []).append(row)
@@ -305,14 +304,22 @@ def test_manifest_round_trip_file_graph(tmp_path):
 
 def test_manifest_round_trip_epsilon_none(tmp_path):
     # epsilon left at the 10/n default still reruns identically
-    config = dreg_config(mode="periods", max_periods=3, fixed_point_tol=None)
+    config = dreg_config(mode="periods", max_periods=3)
     manifest, rows = run_experiment(config)
     assert manifest.get("epsilon") == _fmt_float(10.0 / 40.0)
-    assert manifest.get("fixed_point_tol") == ""
-    rebuilt = config_from_manifest(manifest.text())
-    assert rebuilt.fixed_point_tol is None
-    manifest2, _ = run_experiment(rebuilt)
+    manifest2, _ = run_experiment(config_from_manifest(manifest.text()))
     assert manifest2.text() == manifest.text()
+
+
+@pytest.mark.parametrize("value", ["", "1e-12"])
+def test_manifest_with_another_fixed_point_tol_is_refused(value):
+    # every run stops at 1e-10; 0.1.8 wrote an empty value for no fixed-point
+    # stop, and rerunning either manifest would change the stop rule
+    text = run_experiment(dreg_config(mode="periods", max_periods=3))[0].text()
+    assert "fixed_point_tol = 1e-10\n" in text
+    edited = text.replace("fixed_point_tol = 1e-10", f"fixed_point_tol = {value}")
+    with pytest.raises(ValueError, match=f"fixed_point_tol = '{value}' cannot be rerun"):
+        config_from_manifest(edited)
 
 
 def _fmt_float(v):

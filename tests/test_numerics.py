@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fjmedia import (ConvergenceError, DiagPlusLaplacianOperator, Graph,
-                     MediaSystem, SolveReport, gen_barabasi_albert,
+from fjmedia import (ConvergenceError, DiagPlusLaplacianOperator, ExperimentConfig,
+                     Graph, GraphSpec, MediaSystem, SolveReport, gen_barabasi_albert,
                      gen_random_regular, load_edge_list, neighbor_sum,
-                     numerics, solve_spd)
+                     numerics, run_experiment, solve_spd)
 from graph_cases import KERNEL_GRAPHS
 from oracles import adjacency, media_matrix, neighbors, plain_cg
 from oracles import laplacian as dense_laplacian
@@ -320,6 +320,21 @@ def test_residual_replacement_reuses_the_verified_product(monkeypatch):
     assert rep.residual <= 1e-15 and not rep.certified
     want = dense_solve(media_matrix(system.graph, 0.5), b)
     assert np.max(np.abs(rep.solution - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_solve_that_stagnates_above_tol_stops_at_once():
+    # 1e-15 lies below the accuracy CG attains on README's periods run: the
+    # measured residual after a replacement stops falling, and the solve ends
+    # there instead of measuring again at each iteration up to 10n = 5000
+    config = ExperimentConfig(mode="periods", graph=GraphSpec(kind="dreg", n=500, d=20),
+                              alpha=1.0, beta=0.025, gamma=0.01, repetitions=5,
+                              tol=1e-15)
+    with pytest.raises(ConvergenceError,
+                       match=r"did not reach tol=1e-15: the measured residual "
+                             r"stagnated at \d\.\d{3}e-15") as exc_info:
+        run_experiment(config)
+    assert exc_info.value.iterations < 100
+    assert 1e-15 < exc_info.value.residual < 1e-14
 
 
 def test_certified_one_step_solve_forms_no_verification_product(monkeypatch):

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fjmedia.media as media_module
 import fjmedia.periods as periods_module
 from fjmedia import (DiagPlusLaplacianOperator, Graph, MediaAssignment,
                      MediaConfig, STOP_CAUSES, StopCriteria, alpha_half_limit,
-                     assign_media, build_zeta, ell_star, gen_random_regular,
-                     run_periods, source_opinions)
+                     analytic_summary, assign_media, build_zeta, ell_star,
+                     gen_random_regular, run_periods, source_opinions)
 
 
 def cycle4():
@@ -147,9 +148,45 @@ def test_a_run_builds_one_operator(built_operators):
 
 
 def test_assignment_size_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="assignment size does not match graph"):
         run_periods(path3(), np.full(3, 0.5), MediaConfig(1.0, 0.5, 0.1),
                     all_to_M(4), StopCriteria(0.9, 0.01, 10))
+
+
+def test_a_run_computes_no_closed_form(monkeypatch):
+    # the closed forms belong to the rows that print them, not to the protocol
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_periods computed a closed form")
+
+    for module, name in ((periods_module, "analytic_summary"), (periods_module, "ell_star"),
+                         (periods_module, "sum_bounds"),
+                         (periods_module, "truncated_regular_sum"),
+                         (media_module, "sum_bounds")):
+        monkeypatch.setattr(module, name, refuse)
+    stop = StopCriteria.for_run(0.1, 30, max_periods=100, epsilon=0.01)
+    traj = run_periods(gen_random_regular(30, 4, seed=2), np.full(30, 0.3),
+                       MediaConfig(1.0, 0.5, 0.1), all_to_M(30), stop)
+    assert traj.stop_cause == "radicalized_up"
+
+
+@pytest.mark.parametrize("max_periods, cause", [(100, "radicalized_up"), (5, "max_periods")])
+def test_each_period_computes_its_source_opinions_once(monkeypatch, max_periods, cause):
+    # record 0's pair is the one period 1 consumes, so a run of T periods
+    # needs T pairs
+    calls = []
+    real = media_module.source_opinions
+
+    def counting(s, gamma):
+        calls.append(gamma)
+        return real(s, gamma)
+
+    for module in (periods_module, media_module):
+        monkeypatch.setattr(module, "source_opinions", counting)
+    stop = StopCriteria.for_run(0.1, 30, max_periods=max_periods, epsilon=0.01)
+    traj = run_periods(gen_random_regular(30, 4, seed=2), np.full(30, 0.3),
+                       MediaConfig(1.0, 0.5, 0.1), all_to_M(30), stop)
+    assert traj.stop_cause == cause
+    assert len(calls) == traj.periods_run
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +206,8 @@ def test_radicalizes_up_at_predicted_period():
     want_ell = ell_star(30, 9.0, 4, config)
     assert traj.stop_cause == "radicalized_up"
     assert traj.periods_run == math.ceil(want_ell)
-    assert traj.ell_star_predicted == pytest.approx(want_ell, rel=1e-12)
+    assert analytic_summary(g, s0, config, all_to_M(30))["ell_star"] == pytest.approx(
+        want_ell, rel=1e-12)
     assert traj.records[-1].mean_z >= stop.up_threshold
 
 
@@ -224,7 +262,7 @@ def test_alpha_half_conserves_sum_and_reaches_fixed_point():
     traj = run_periods(g, s0, config, half_assignment(16), stop, tol=1e-12)
     assert traj.stop_cause == "fixed_point"
     assert np.max(np.abs(traj.sums - traj.sums[0])) <= 1e-8 * traj.sums[0]
-    assert traj.ell_star_predicted is None
+    assert analytic_summary(g, s0, config, half_assignment(16))["ell_star"] is None
 
 
 def test_alpha_half_run_converges_to_limit_profile():
@@ -281,10 +319,8 @@ def test_ell_star_rejections():
 
 def test_ell_star_prediction_absent_off_regular():
     s0 = np.array([0.2, 0.4, 0.6])
-    stop = StopCriteria(up_threshold=0.99, epsilon=0.001, max_periods=2)
-    traj = run_periods(path3(), s0, MediaConfig(1.0, 0.5, 0.05), all_to_M(3),
-                       stop)
-    assert traj.ell_star_predicted is None
+    summary = analytic_summary(path3(), s0, MediaConfig(1.0, 0.5, 0.05), all_to_M(3))
+    assert summary["ell_star"] is None
 
 
 # ---------------------------------------------------------------------------
