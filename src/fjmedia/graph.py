@@ -342,26 +342,32 @@ def _load_lines(path) -> Graph:
     # the reference reader: one line at a time, and every error names its line
     ids: dict[int, int] = {}
     us, vs, ws, lines = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) not in (2, 3):
-                raise ValueError(f"line {lineno}: expected 'u v' or 'u v w', got {raw.strip()!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: unparsable node id in {raw.strip()!r}") from exc
-            if a < 0 or b < 0:
-                raise ValueError(f"line {lineno}: node ids must be non-negative")
-            try:
-                ws.append(float(parts[2]) if len(parts) == 3 else 1.0)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: unparsable weight in {raw.strip()!r}") from exc
-            us.append(ids.setdefault(a, len(ids)))
-            vs.append(ids.setdefault(b, len(ids)))
-            lines.append(lineno)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                parts = raw.split()
+                if not parts or parts[0].startswith("#"):
+                    continue
+                if len(parts) not in (2, 3):
+                    raise ValueError(f"line {lineno}: expected 'u v' or 'u v w', "
+                                     f"got {raw.strip()!r}")
+                try:
+                    a, b = int(parts[0]), int(parts[1])
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: unparsable node id "
+                                     f"in {raw.strip()!r}") from exc
+                if a < 0 or b < 0:
+                    raise ValueError(f"line {lineno}: node ids must be non-negative")
+                try:
+                    ws.append(float(parts[2]) if len(parts) == 3 else 1.0)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: unparsable weight "
+                                     f"in {raw.strip()!r}") from exc
+                us.append(ids.setdefault(a, len(ids)))
+                vs.append(ids.setdefault(b, len(ids)))
+                lines.append(lineno)
+    except UnicodeDecodeError:
+        raise ValueError(f"line {_undecodable_line(path)}: not valid UTF-8") from None
     if not ids:
         raise ValueError("edge list contains no edges")
     try:
@@ -370,6 +376,19 @@ def _load_lines(path) -> Graph:
     except _EdgeError as exc:
         k, label = exc.index, list(ids)  # label[i]: the file's id of node i
         raise ValueError(f"line {lines[k]}: {exc.reason} {label[us[k]]}-{label[vs[k]]}") from None
+
+
+def _undecodable_line(path) -> int:
+    # the line of the file's first undecodable byte: text mode decodes ahead
+    # in 8 KB chunks, so a decode error's own position is an offset into a
+    # chunk, and only the raw bytes give the file's offset
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    raise ValueError("the file changed while it was read")
 
 
 def write_edge_list(graph: Graph, path, comment: str | None = None) -> None:
@@ -510,7 +529,7 @@ def _pairing_attempt(rng, n: int, d: int):
     edge_set: set[tuple[int, int]] = set()
     edge_list: list[tuple[int, int]] = []
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    while stubs.size:
+    while True:
         rng.shuffle(stubs)
         failed: list[int] = []
         for k in range(0, stubs.size, 2):
@@ -529,7 +548,6 @@ def _pairing_attempt(rng, n: int, d: int):
         if not _placeable(edge_set, failed):
             return None  # dead end, caller restarts from fresh stubs
         stubs = np.array(failed, dtype=np.int64)
-    return edge_list
 
 
 def _placeable(edge_set, failed) -> bool:

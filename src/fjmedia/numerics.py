@@ -13,10 +13,13 @@ CG, bit for bit.
 A solve allocates its vectors once and updates them in place: every operator
 product goes through ``apply(x, out=...)``, and each in-place update adds and
 multiplies the same operands as the plain expression would, so the iterates
-do not move by a bit.  A right-hand side whose norm overflows, or a CG
-scalar that turns non-finite, stops the solve at once with an error; one
-whose norm would underflow is solved scaled up by a power of two, which is
-exact.
+do not move by a bit.  CG runs on the right-hand side scaled by the power
+of two that puts its largest entry in [1, 2), and the solution is scaled
+back.  Both scalings are exact and CG's iterates scale with them, so ||b||_2
+can neither underflow nor overflow inside the solve.  A right-hand side that
+holds inf or nan, or whose own ||b||_2 overflows, a CG scalar that turns
+non-finite and a solution past the float range stop the solve at once with
+an error.
 
 The stop is certified.  CG updates its residual by recursion, and in floating
 point r_k drifts from b - A x_k.  A solve may stop only when the residual as
@@ -87,8 +90,6 @@ __all__ = [
     "solve_spd",
 ]
 
-# below this max|b|, the squares in ||b||_2 can underflow to 0
-_TINY = 2.0 ** -500
 # the unit roundoff of float64
 _U = 2.0 ** -53
 
@@ -114,9 +115,8 @@ class DiagPlusLaplacianOperator:
     operator positive definite (L alone is only semidefinite).  ``inv_diag``,
     the Jacobi scaling of ``solve_spd``, is diag.max() / diag for the operator's
     diagonal gamma_diag + degree, so a constant diagonal gives exactly 1.0.
-    ``abs_norm`` = max(gamma_diag + 2 degree) bounds || |A| ||_2, and
-    ``k_max`` is the longest adjacency row: the two constants of the
-    certified stop in ``solve_spd``.  In the package only
+    ``abs_norm`` = max(gamma_diag + 2 degree) bounds || |A| ||_2, a constant
+    of the certified stop in ``solve_spd``.  In the package only
     ``media.MediaSystem`` builds one.
     """
 
@@ -124,7 +124,6 @@ class DiagPlusLaplacianOperator:
     gamma_diag: np.ndarray
     inv_diag: np.ndarray = field(init=False, repr=False)
     abs_norm: float = field(init=False, repr=False)
-    k_max: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gamma_diag, dtype=np.float64).ravel()
@@ -138,7 +137,6 @@ class DiagPlusLaplacianOperator:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "abs_norm", float((diag + self.graph.degree).max()))
-        object.__setattr__(self, "k_max", self.graph.longest_row)
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``gamma_diag * x + L x``, written into ``out`` when given.
@@ -177,47 +175,48 @@ class SolveReport:
         object.__setattr__(self, "solution", sol)
 
 
-def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray, tol: float = 1e-10,
-              max_iter: int | None = None) -> SolveReport:
+def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray,
+              tol: float = 1e-10) -> SolveReport:
     """Jacobi-preconditioned conjugate gradient on ``op.apply(x) = rhs``.
 
     Stops when the relative residual ||A x - b||_2 / ||b||_2 drops to ``tol``,
     which must lie in (0, 1).  The stop test reads the unpreconditioned
     recursion residual; the true one is then either certified by a proven
     rounding bound or measured from a freshly computed A x, and
-    ``SolveReport.certified`` says which.
-    ``max_iter`` defaults to 10n.  Raises :class:`ConvergenceError` if the cap
-    is hit first, if a measured residual fails to drop below the smallest one
+    ``SolveReport.certified`` says which.  CG runs on b scaled by the power
+    of two that puts max|b| in [1, 2), and the solution is scaled back, both
+    exactly, so the size of b alone stops no solve.
+    Raises :class:`ConvergenceError` if the cap of 10n iterations is hit
+    first, if a measured residual fails to drop below the smallest one
     measured before it (the solve stagnated above tol), or as soon as a CG
-    scalar or the residual is not finite;
+    scalar, the residual or the scaled-back solution is not finite;
     raises ``ValueError`` when ||b||_2 is not finite (it overflows, or b holds
-    inf or nan).  A right-hand side whose largest entry is below 2**-500 is
-    solved scaled up by a power of two, since its norm would underflow to 0.
+    inf or nan).
     """
     b = np.asarray(rhs, dtype=np.float64).ravel()
     n = b.size
     if not 0 < tol < 1:  # also rejects nan
         raise ValueError(f"tol must lie in (0, 1), got {tol:g}")
-    if max_iter is None:
-        max_iter = 10 * n
-    # an overflow is reported once, as the error below, not as numpy warnings
+    # an overflow is reported once, as an error, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         b_max = float(np.abs(b).max(initial=0.0))
-        if 0.0 < b_max < _TINY:
-            # ||b||_2 would underflow to 0; solve for b * 2**k and scale back,
-            # both exact, with the same iterations and relative residual
-            k = -math.frexp(b_max)[1]
-            scaled = solve_spd(op, np.ldexp(b, k), tol, max_iter)
-            return SolveReport(np.ldexp(scaled.solution, -k), scaled.iterations,
-                               scaled.residual, math.ldexp(scaled.rhs_norm, -k),
-                               scaled.certified)
-        b_norm = float(np.linalg.norm(b))
-        if not math.isfinite(b_norm):
-            raise ValueError(f"conjugate gradient cannot start: ||b||_2 is {b_norm} at "
-                             "iteration 0 (the right-hand side is too large or not finite)")
-        if b_norm == 0.0:
+        if b_max == 0.0:
             return SolveReport(np.zeros(n), 0, 0.0, 0.0)
-        return _pcg(op, b, b_norm, tol, max_iter)
+        k = 1 - math.frexp(b_max)[1] if math.isfinite(b_max) else 0
+        if k:
+            b = np.ldexp(b, k)
+        b_norm = float(np.linalg.norm(b))
+        rhs_norm = float(np.ldexp(b_norm, -k))
+        if not math.isfinite(rhs_norm):
+            raise ValueError(f"conjugate gradient cannot start: ||b||_2 is {rhs_norm} at "
+                             "iteration 0 (the right-hand side is too large or not finite)")
+        report = _pcg(op, b, b_norm, tol, 10 * n)
+        if not k:
+            return report
+        x = np.ldexp(report.solution, -k)
+        # max|x| from max and min: np.abs would allocate an n-vector per solve
+        _finite("max|x|", max(float(x.max()), -float(x.min())), report.iterations)
+    return SolveReport(x, report.iterations, report.residual, rhs_norm, report.certified)
 
 
 def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float,
@@ -227,10 +226,10 @@ def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float
     # the certified stop's constants and state, as in the module docstring:
     # gap bounds ||b - A x - r||, x_bound bounds ||x||, and tiny is the most
     # that underflow can hide in a norm
-    c_a = op.abs_norm
-    apply_err, step_err = _gamma(op.k_max + 3) * c_a, _gamma(op.k_max + 5) * c_a
+    c_a, k_max = op.abs_norm, op.graph.longest_row
+    apply_err, step_err = _gamma(k_max + 3) * c_a, _gamma(k_max + 5) * c_a
     tiny = math.sqrt(n) * 2.0 ** -537
-    under, under_alpha = tiny * (1.0 + c_a), tiny * (op.k_max + 3)
+    under, under_alpha = tiny * (1.0 + c_a), tiny * (k_max + 3)
     r_factor = 1.0 + (6 * n + 12) * _U
     gap = x_bound = 0.0
     best = math.inf  # the smallest residual measured so far

@@ -62,8 +62,7 @@ class StopCriteria:
 
     @classmethod
     def for_run(cls, gamma: float, n: int, max_periods: int = 1000,
-                epsilon: float | None = None,
-                fixed_point_tol: float | None = 1e-10) -> "StopCriteria":
+                epsilon: float | None = None) -> "StopCriteria":
         """Defaults: up at 1/(1+gamma), down at 10/n.
 
         The 10/n default needs n > 10 (1 + gamma); on smaller graphs pass
@@ -77,8 +76,7 @@ class StopCriteria:
                     f"default epsilon 10/n = {epsilon:g} is not below the "
                     f"up threshold 1/(1+gamma) = {up:g}; pass an explicit "
                     f"epsilon (--epsilon on the command line)")
-        return cls(up_threshold=up, epsilon=epsilon, max_periods=max_periods,
-                   fixed_point_tol=fixed_point_tol)
+        return cls(up_threshold=up, epsilon=epsilon, max_periods=max_periods)
 
 
 @dataclass(frozen=True)

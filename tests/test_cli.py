@@ -218,6 +218,16 @@ def test_bad_graph_file_names_the_file_and_line(tmp_path, capsys):
     assert "repetition" not in err
 
 
+def test_undecodable_graph_file_names_the_file_and_line(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_bytes("".join(f"{i} {i + 1}\n" for i in range(300)).encode() + b"2 \xff0\n")
+    code, _, err = run_cli(
+        capsys, "equilibrium", "--graph", str(path),
+        "--alpha", "1.0", "--beta", "0.5", "--gamma", "0.1")
+    assert code == 2
+    assert err == f"error: {path}: line 301: not valid UTF-8\n"
+
+
 @pytest.mark.parametrize("mode", ["equilibrium", "periods", "bounds"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1"])
 def test_tol_outside_unit_interval_exits_before_any_repetition(capsys, mode, tol):
@@ -339,16 +349,18 @@ def test_module_invocation():
     assert proc.stdout.startswith("# fjmedia generate:")
 
 
-def test_overflowing_media_strength_exits_before_any_cg_iteration():
-    # ||b|| overflows; the solve used to run to its cap of 10n iterations
-    # and only then report a nan residual
+def test_huge_media_strength_is_solved_to_its_exact_sum(tmp_path):
+    # the entries of b are about 1e301 and the squares in ||b||_2 overflow;
+    # the solve runs on b scaled to max|b| in [1, 2), and ||b||_2 itself is
+    # finite
+    out = tmp_path / "huge.csv"
     proc = _run_module("equilibrium", "--gen", "dreg", "--n", "5000", "--d", "20",
                        "--alpha", "0.9", "--beta", "1e300", "--gamma", "0.1",
-                       "--reps", "1", timeout=60)
-    assert proc.returncode == 2
+                       "--reps", "1", "--out", str(out), timeout=60)
+    assert proc.returncode == 0
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-    assert "error: repetition 0: " in proc.stderr
-    assert "||b||_2 is inf at iteration 0" in proc.stderr
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert abs(float(row["sum_z"]) - float(row["exact_if_regular"])) <= 1e-8 * 5000
 
 
 def test_periods_run_refuses_an_overflowing_right_hand_side_at_the_solve():
@@ -375,12 +387,17 @@ def test_beta_whose_media_weight_overflows_names_beta(mode):
     assert "beta * (1 + d_max) overflows" in proc.stderr
 
 
-@pytest.mark.parametrize("flags", [["--gamma", "0.9", "--innate-mu", "0.2"],  # uncapped
-                                   ["--gamma", "1"]])  # z_M capped
+# each case is the flags and the closed form that overflows
+@pytest.mark.parametrize("flags", [
+    (["--alpha", "1", "--gamma", "0.9", "--innate-mu", "0.2"], "the sum bounds overflow"),
+    (["--alpha", "1", "--gamma", "1"], "the capped sum overflows"),  # z_M capped
+    (["--alpha", "0.9", "--gamma", "0.1"], "the sum bounds overflow"),
+])
 def test_closed_form_sum_that_overflows_names_beta(flags):
     # beta * (1 + d) is finite, but beta * swing and alpha * beta(1+d) * n are not
-    proc = _run_module("bounds", "--gen", "dreg", "--n", "50", "--d", "4", "--alpha", "1",
+    flags, overflow = flags
+    proc = _run_module("bounds", "--gen", "dreg", "--n", "50", "--d", "4",
                        "--beta", "3.5e307", *flags, "--reps", "1", timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-    assert "error: repetition 0: beta 3.5e+307 is too large: " in proc.stderr
+    assert f"error: repetition 0: beta 3.5e+307 is too large: {overflow}\n" in proc.stderr

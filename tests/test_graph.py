@@ -84,6 +84,15 @@ def test_arrays_read_only():
         g.edge_w[0] = 99.0
 
 
+@pytest.mark.parametrize("n, u, v, w, pattern", [
+    (0, [], [], [], "at least one node"),
+    (3, [0, 1], [1], [1.0, 1.0], "identical length"),
+])
+def test_rejects_malformed_graph_arrays(n, u, v, w, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        Graph(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w))
+
+
 def test_single_node_graph():
     g = Graph(1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
               np.empty(0))
@@ -172,6 +181,8 @@ def test_out_must_be_a_float64_vector_of_length_n():
     x = np.ones(3)
     with pytest.raises(ValueError, match="out must not overlap x"):
         neighbor_sum(g, x, out=x)
+    with pytest.raises(ValueError, match=r"expected vector of length 3, got shape \(2,\)"):
+        neighbor_sum(g, np.ones(2))
 
 
 def test_laplacian_psd_and_zero_row_sums():
@@ -221,12 +232,20 @@ def test_load_errors_carry_line_numbers(tmp_path):
         ("0 1\n1 2 zzz\n", "line 2.*weight"),
         ("0 1\n1 2 3 4\n", "line 2"),
         ("0 1\n-1 2\n", "line 2.*non-negative"),
+        (b"0 1\n1 2\n2 \xff0\n", "^line 3: not valid UTF-8$"),
+        # still inside the first 8 KB that text mode decodes at once
+        (_path_lines(300) + b"2 \xff0\n", "^line 301: not valid UTF-8$"),
     ]
     for text, pattern in cases:
         p = tmp_path / "bad.txt"
-        p.write_text(text, encoding="utf-8")
+        p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with pytest.raises(ValueError, match=pattern):
             load_edge_list(p)
+
+
+def _path_lines(count):
+    # the edges of a path, one "i i+1" line each
+    return "".join(f"{i} {i + 1}\n" for i in range(count)).encode("ascii")
 
 
 def test_load_rejects_empty(tmp_path):

@@ -45,6 +45,8 @@ def test_assign_counts():
     assert assign_media(g, 1.0, seed=1).count_M == 101
     # 50.5 rounds half away from zero
     assert assign_media(g, 0.5, seed=1).count_M == 51
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+        assign_media(g, 1.5, seed=1)
 
 
 def test_assign_halves_large_odd_n():
@@ -325,6 +327,9 @@ def test_truncated_regular_sum_validation():
         truncated_regular_sum(5.0, 0, 1.0, config)
     with pytest.raises(ValueError):
         truncated_regular_sum(-1.0, 10, 1.0, config)
+    # beta * (1 + d) is finite, but alpha * beta(1 + d) * n is not
+    with pytest.raises(ValueError, match="the capped sum overflows"):
+        truncated_regular_sum(4, 50, 49.0, MediaConfig(0.9, 3.5e307, 0.1))
 
 
 def test_truncated_lower_bound_value_and_checks():

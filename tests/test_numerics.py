@@ -59,11 +59,12 @@ def test_operator_apply_out_gives_the_same_bits_and_matches_dense(name):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
 def test_operator_bound_constants(name):
-    # k_max is the longest adjacency row, abs_norm bounds || |A| ||_2
+    # the certified stop reads the graph's longest adjacency row, and
+    # abs_norm bounds || |A| ||_2
     g = KERNEL_GRAPHS[name]()
     gamma = np.random.default_rng(3).uniform(0.1, 3.0, g.n)
     op = DiagPlusLaplacianOperator(g, gamma)
-    assert op.k_max == max(len(neighbors(g, i)) for i in range(g.n))
+    assert g.longest_row == max(len(neighbors(g, i)) for i in range(g.n))
     abs_a = np.diag(gamma) + np.diag(adjacency(g).sum(axis=1)) + adjacency(g)
     assert np.linalg.eigvalsh(abs_a).max() <= op.abs_norm * (1 + 1e-12)
 
@@ -157,8 +158,8 @@ def test_max_iter_exhaustion_raises_with_residual():
     g = gen_random_regular(40, 4, seed=2)
     op = DiagPlusLaplacianOperator(g, np.full(g.n, 1e-6))
     b = np.random.default_rng(1).normal(size=g.n)
-    with pytest.raises(ConvergenceError) as exc_info:
-        solve_spd(op, b, tol=1e-15, max_iter=2)
+    with pytest.raises(ConvergenceError, match="in 2 iterations") as exc_info:
+        numerics._pcg(op, b, float(np.linalg.norm(b)), 1e-15, max_iter=2)
     err = exc_info.value
     assert err.iterations == 2
     assert err.residual > 0
@@ -168,10 +169,18 @@ def test_overflowing_rhs_stops_before_the_first_iteration():
     op = DiagPlusLaplacianOperator(path3(), np.ones(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the error says it, not a numpy warning
+        # sqrt(3) * 1.5e308 is past the float range, though every entry is not
         with pytest.raises(ValueError, match=r"\|\|b\|\|_2 is inf at iteration 0"):
-            solve_spd(op, np.full(3, 1e300))
+            solve_spd(op, np.full(3, 1.5e308))
+        with pytest.raises(ValueError, match=r"\|\|b\|\|_2 is inf at iteration 0"):
+            solve_spd(op, np.array([1.0, np.inf, 0.0]))
         with pytest.raises(ValueError, match=r"\|\|b\|\|_2 is nan at iteration 0"):
             solve_spd(op, np.array([1.0, np.nan, 0.0]))
+        # the squares in ||b||_2 overflow, but ||b||_2 itself is finite:
+        # (I + L) x = b is solved by x = b, as b is constant
+        rep = solve_spd(op, np.full(3, 1e300))
+    assert np.allclose(rep.solution, 1e300, rtol=1e-12, atol=0.0)
+    assert rep.rhs_norm == pytest.approx(math.sqrt(3) * 1e300, rel=1e-15)
 
 
 def test_rhs_whose_norm_underflows_is_solved_scaled():
@@ -195,7 +204,8 @@ def test_rhs_norm_is_the_two_norm_of_the_given_rhs():
     op = DiagPlusLaplacianOperator(g, np.full(g.n, 0.5))
     b = np.random.default_rng(8).uniform(0.0, 1.0, g.n)
     assert solve_spd(op, b).rhs_norm == float(np.linalg.norm(b))
-    # below 2**-500 the solve runs scaled; the norm comes back to the bit
+    # far below 1 the solve runs on a power-of-two multiple of b; the norm
+    # comes back to the bit
     small = np.ldexp(b, -501)
     assert np.abs(small).max() < 2.0 ** -500
     rhs_norm = solve_spd(op, small).rhs_norm
@@ -204,14 +214,29 @@ def test_rhs_norm_is_the_two_norm_of_the_given_rhs():
 
 
 def test_overflowing_cg_scalar_stops_at_its_iteration():
-    # ||b|| is finite, but A p = 1e200 * 1e150 overflows in the first product
+    # b is scaled to max|b| in [1, 2), but p . A p, a sum of 40 terms of
+    # about 1e307, still overflows in the first step
     g = gen_random_regular(40, 4, seed=2)
-    op = DiagPlusLaplacianOperator(g, np.full(g.n, 1e200))
+    op = DiagPlusLaplacianOperator(g, np.full(g.n, 1e307))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match=r"p\.Ap is inf at iteration 1") as exc_info:
             solve_spd(op, np.full(g.n, 1e150))
+        # A p = 1e200 * 1e150 overflowed here before b was scaled
+        rep = solve_spd(DiagPlusLaplacianOperator(g, np.full(g.n, 1e200)),
+                        np.full(g.n, 1e150))
     assert exc_info.value.iterations == 1
+    assert np.allclose(rep.solution, 1e-50, rtol=1e-12, atol=0.0)
+
+
+def test_a_solution_past_the_float_range_stops_the_solve():
+    # A = 1e-300 I + L maps the constant 1e310 to 1e10, so CG on the scaled
+    # b converges, and only scaling its solution back overflows
+    op = DiagPlusLaplacianOperator(path3(), np.full(3, 1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"max\|x\| is inf at iteration \d"):
+            solve_spd(op, np.full(3, 1e10))
 
 
 def _fj_and_media_operators(g, beta):
@@ -312,9 +337,12 @@ def test_residual_replacement_reuses_the_verified_product(monkeypatch):
     # the recursion residual reaches tol once before the true one does: the
     # check's A x restarts CG, and no product is formed twice
     system, b = _replacement_case()
+    assert np.abs(b).max() >= 2.0  # so the solve runs on a scaled b
     applied = _count_applies(monkeypatch)
     rep = solve_spd(system.op, b, tol=1e-15)
-    verifications = sum(x is rep.solution for x in applied)
+    # CG applies its one direction vector, updated in place; every other
+    # product is a check's A x
+    verifications = sum(x is not applied[0] for x in applied)
     assert (rep.iterations, verifications) == (23, 2)  # one restart, then the pass
     assert len(applied) == rep.iterations + verifications
     assert rep.residual <= 1e-15 and not rep.certified

@@ -151,6 +151,8 @@ def test_assignment_size_checked():
     with pytest.raises(ValueError, match="assignment size does not match graph"):
         run_periods(path3(), np.full(3, 0.5), MediaConfig(1.0, 0.5, 0.1),
                     all_to_M(4), StopCriteria(0.9, 0.01, 10))
+    with pytest.raises(ValueError, match="assignment size does not match graph"):
+        analytic_summary(path3(), np.full(3, 0.5), MediaConfig(1.0, 0.5, 0.1), all_to_M(4))
 
 
 def test_a_run_computes_no_closed_form(monkeypatch):
@@ -257,8 +259,8 @@ def test_alpha_half_conserves_sum_and_reaches_fixed_point():
     g = gen_random_regular(16, 4, seed=5)
     s0 = np.random.default_rng(5).uniform(0.2, 0.8, 16)
     config = MediaConfig(alpha=0.5, beta=0.6, gamma=0.05)
-    stop = StopCriteria.for_run(config.gamma, 16, max_periods=5000,
-                                epsilon=0.01, fixed_point_tol=1e-12)
+    stop = replace(StopCriteria.for_run(config.gamma, 16, max_periods=5000, epsilon=0.01),
+                   fixed_point_tol=1e-12)
     traj = run_periods(g, s0, config, half_assignment(16), stop, tol=1e-12)
     assert traj.stop_cause == "fixed_point"
     assert np.max(np.abs(traj.sums - traj.sums[0])) <= 1e-8 * traj.sums[0]
@@ -270,8 +272,8 @@ def test_alpha_half_run_converges_to_limit_profile():
     s0 = np.random.default_rng(5).uniform(0.2, 0.8, 16)
     config = MediaConfig(alpha=0.5, beta=0.6, gamma=0.05)
     a = half_assignment(16)
-    stop = StopCriteria.for_run(config.gamma, 16, max_periods=5000,
-                                epsilon=0.01, fixed_point_tol=1e-13)
+    stop = replace(StopCriteria.for_run(config.gamma, 16, max_periods=5000, epsilon=0.01),
+                   fixed_point_tol=1e-13)
     traj = run_periods(g, s0, config, a, stop, tol=1e-13)
     # sources stay pinned to the conserved mean, so the limit only sees the
     # period-0 source profile
