@@ -19,6 +19,7 @@ parses text, remaps ids by first appearance and names a rejected edge's line.
 
 from __future__ import annotations
 
+import io
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -339,35 +340,46 @@ def _relabel_by_first_appearance(ids: np.ndarray) -> int:
 
 
 def _load_lines(path) -> Graph:
-    # the reference reader: one line at a time, and every error names its line
+    # the reference reader: one line at a time, and every error names its
+    # line.  Errors come in file order: an undecodable byte is reported only
+    # once every line before its own has parsed
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text, undecodable = data.decode("utf-8"), False
+    except UnicodeDecodeError as exc:
+        # the lines before the one that holds the bad byte
+        cut = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+        text, undecodable = data[:cut].decode("utf-8"), True
+    del data
     ids: dict[int, int] = {}
     us, vs, ws, lines = [], [], [], []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                parts = raw.split()
-                if not parts or parts[0].startswith("#"):
-                    continue
-                if len(parts) not in (2, 3):
-                    raise ValueError(f"line {lineno}: expected 'u v' or 'u v w', "
-                                     f"got {raw.strip()!r}")
-                try:
-                    a, b = int(parts[0]), int(parts[1])
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: unparsable node id "
-                                     f"in {raw.strip()!r}") from exc
-                if a < 0 or b < 0:
-                    raise ValueError(f"line {lineno}: node ids must be non-negative")
-                try:
-                    ws.append(float(parts[2]) if len(parts) == 3 else 1.0)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: unparsable weight "
-                                     f"in {raw.strip()!r}") from exc
-                us.append(ids.setdefault(a, len(ids)))
-                vs.append(ids.setdefault(b, len(ids)))
-                lines.append(lineno)
-    except UnicodeDecodeError:
-        raise ValueError(f"line {_undecodable_line(path)}: not valid UTF-8") from None
+    lineno = 0
+    # newline=None splits lines as text mode does, at "\n", "\r\n" and "\r"
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) not in (2, 3):
+            raise ValueError(f"line {lineno}: expected 'u v' or 'u v w', "
+                             f"got {raw.strip()!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: unparsable node id "
+                             f"in {raw.strip()!r}") from exc
+        if a < 0 or b < 0:
+            raise ValueError(f"line {lineno}: node ids must be non-negative")
+        try:
+            ws.append(float(parts[2]) if len(parts) == 3 else 1.0)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: unparsable weight "
+                             f"in {raw.strip()!r}") from exc
+        us.append(ids.setdefault(a, len(ids)))
+        vs.append(ids.setdefault(b, len(ids)))
+        lines.append(lineno)
+    if undecodable:
+        raise ValueError(f"line {lineno + 1}: not valid UTF-8")
     if not ids:
         raise ValueError("edge list contains no edges")
     try:
@@ -376,19 +388,6 @@ def _load_lines(path) -> Graph:
     except _EdgeError as exc:
         k, label = exc.index, list(ids)  # label[i]: the file's id of node i
         raise ValueError(f"line {lines[k]}: {exc.reason} {label[us[k]]}-{label[vs[k]]}") from None
-
-
-def _undecodable_line(path) -> int:
-    # the line of the file's first undecodable byte: text mode decodes ahead
-    # in 8 KB chunks, so a decode error's own position is an offset into a
-    # chunk, and only the raw bytes give the file's offset
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    raise ValueError("the file changed while it was read")
 
 
 def write_edge_list(graph: Graph, path, comment: str | None = None) -> None:
@@ -420,11 +419,25 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
     """Preferential-attachment graph: K_m core, then m distinct edges per node.
 
     Each node m..n-1 picks m distinct existing targets with probability
-    proportional to current degree (sampling without replacement from a
-    degree-weighted urn).  Unit weights.  Deterministic for a fixed seed: each
-    urn index is the one ``rng.integers(len(urn))`` on ``default_rng(seed)``
-    would give (see :func:`_index_draws`), so the edges and their order depend
-    on the seed alone.  The urn must stay below 2**32 entries.
+    proportional to current degree: it draws uniform indices into an urn
+    that holds one entry per unit of degree, and draws again on a target it
+    already picked.  Unit weights.  Each urn index is the one
+    ``rng.integers(len(urn))`` on ``default_rng(seed)`` would give (see
+    :class:`_WordStream`), so the edges and their order depend on the seed
+    alone.  The urn must stay below 2**32 entries.
+
+    The urn is never built.  Before node j draws, it holds
+    ``m(m-1) + 2m(j-m)`` entries: m-1 for each core node, then for each
+    earlier node its m picks followed by m copies of itself, so arithmetic
+    on an index names its node or the earlier pick it copies.  The draws
+    are replayed in blocks.  A block speculates that each of its nodes
+    takes exactly m words, draws all of them at once, resolves picks of
+    picks inside the block, and keeps the nodes before the first one that
+    meets a rejected word or a repeated target.  That node is drawn one
+    word at a time, and the next block starts after it.  Blocks grow while
+    they run clean; where such events come close together (small j, large
+    m), nodes are drawn one at a time.  Either way every seed gives the
+    graph the plain urn loop gives, edge for edge.
 
     Edge count is m(m-1)/2 + (n-m)m.
     """
@@ -432,64 +445,177 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
         raise ValueError("m must be >= 1")
     if m >= n:
         raise ValueError("m must be < n")
-    if m * (m - 1) + 2 * m * (n - m) >= 2**32:
+    core, span = m * (m - 1), 2 * m  # span: the urn entries each node adds
+    if core + span * (n - m) >= 2**32:
         raise ValueError(f"n = {n} and m = {m} need a degree urn of 2**32 or more "
                          f"entries; the generator draws urn indices below 2**32")
-    draw = _index_draws(np.random.default_rng(seed))
-    # edge k runs from targets[k] to sources[k]: the K_m core, then each
-    # node's m targets in the order they were drawn
-    targets = [i for j in range(m) for i in range(j)]
-    sources = [j for j in range(m) for _ in range(j)]
-    urn = [node for node in range(m) for _ in range(m - 1)]  # one entry per unit of degree
-    for source in range(m, n):
-        if urn:
-            picked: list[int] = []
-            chosen: set[int] = set()
-            while len(picked) < m:
-                t = urn[draw(len(urn))]
+    words = _WordStream(np.random.default_rng(seed))
+    # edge k joins targets[k] and sources[k]: the K_m core row by row, then
+    # node j's m targets in draw order at picks[(j - m) * m + o]
+    core_edges = core // 2
+    edges = core_edges + (n - m) * m
+    targets, sources = np.empty(edges, dtype=np.int64), np.empty(edges, dtype=np.int64)
+    sources[core_edges:].reshape(n - m, m)[:] = np.arange(m, n)[:, None]
+    picks = targets[core_edges:]
+    plain = memoryview(picks)  # reads and writes plain ints
+    draw = words.draw
+
+    j = m
+    if m == 1:
+        # K_1 has no edge and no degree mass: node 1 takes node 0, its only
+        # legal target, and draws no word
+        picks[0] = 0
+        j = 2
+    else:
+        sources[:core_edges], targets[:core_edges] = np.nonzero(np.tri(m, k=-1, dtype=bool))
+    # run counts the nodes in a row that met no event; a block pays for its
+    # numpy calls only past _BLOCK_WORDS words' worth of them
+    run, least = 0, -(-_BLOCK_WORDS // m)
+    while j < n:
+        if run >= least:
+            size = min(2 * run, -(-_MAX_BLOCK_WORDS // m), n - j)
+            kept = _draw_block(words, picks, m, j, size)
+            j += kept
+            if kept == size:
+                run += kept
+                continue
+            run = kept  # node j met an event: it is drawn alone below
+        # node j on plain ints.  It asks for as many indices as it lacks
+        # targets, so it reads no word the urn loop would not
+        k, at = core + span * (j - m), (j - m) * m
+        stop, asked = at + m, 0
+        chosen: set[int] = set()
+        while at < stop:
+            asked += 1
+            for idx in draw(k, stop - at):
+                rel = idx - core
+                if rel < 0:
+                    t = idx // (m - 1)
+                else:  # rel = 2mb + o: o < m is pick o of node m + b, at picks[mb + o]
+                    o = rel % span
+                    t = plain[(rel + o) >> 1] if o < m else m + rel // span
                 if t not in chosen:
                     chosen.add(t)
-                    picked.append(t)
-        else:
-            # m == 1 leaves K_1 with no degree mass; the only legal target
-            picked = list(range(source))
-        targets.extend(picked)
-        sources.extend([source] * m)
-        urn.extend(picked)
-        urn.extend([source] * m)
-    return Graph(n, np.array(targets, dtype=np.int64), np.array(sources, dtype=np.int64),
-                 np.ones(len(targets)))
+                    plain[at] = t
+                    at += 1
+        run = run + 1 if asked == 1 else run // 2
+        j += 1
+    del words, plain, draw  # the word buffer goes before the graph is built
+    return Graph(n, targets, sources, np.ones(edges))
 
 
-_WORD_BLOCK = 4096  # 32-bit words fetched at a time, held as Python ints of about 40 bytes each
+def _draw_block(words: _WordStream, picks: np.ndarray, m: int, j: int, size: int) -> int:
+    """Draw nodes j..j+size-1 of the urn replay at m words each, into ``picks``.
 
-
-def _index_draws(rng: np.random.Generator):
-    """A function ``draw(k)`` giving, call for call, ``int(rng.integers(k))``.
-
-    For 1 <= k < 2**32 numpy turns one 32-bit word x of the generator into
-    ``(x * k) >> 32`` and draws again while the low 32 bits of ``x * k`` fall
-    below ``(2**32 - k) % k`` (Lemire's multiply-shift rejection); k == 1
-    takes no word.  The words come from ``rng`` in blocks, so ``rng`` itself
-    runs ahead of the draws and is for this function alone.
+    Returns how many of them, from j on, met no event (a rejected word or a
+    target drawn twice); their picks are final and their words are read.
     """
-    words: list[int] = []
-    pos = 0
+    core, span = m * (m - 1), 2 * m
+    k0 = core + span * (j - m)
+    k = np.arange(k0, k0 + span * size, span, dtype=np.uint64)[:, None]
+    idx, rejected = _multiply_shift(words.ahead(size * m).reshape(size, m), k)
+    bad = rejected.any(axis=1)
+    idx = idx.ravel()
+    rel = idx - core
+    base = (j - m) * m
+    seg = picks[base:base + size * m]
+    o = rel % span
+    seg[:] = np.where(rel < 0, idx // max(m - 1, 1), m + rel // span)
+    # entries that copy an earlier pick: one before the block is final, one
+    # inside it once its own copy is.  Each copies an earlier node's pick,
+    # so the copies stop changing after as many rounds as the longest chain
+    ref = np.flatnonzero((rel >= 0) & (o < m))
+    src = (rel[ref] + o[ref]) >> 1
+    seg[ref] = picks[src]
+    inner = src >= base
+    ref, src = ref[inner], src[inner]
+    while ref.size:
+        got = picks[src]
+        if np.array_equal(got, seg[ref]):
+            break
+        seg[ref] = got
+    if m > 1:
+        rows = np.sort(seg.reshape(size, m), axis=1)
+        bad |= (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    events = np.flatnonzero(bad)
+    kept = int(events[0]) if events.size else size
+    words.skip(kept * m)
+    return kept
 
-    def draw(k: int) -> int:
-        nonlocal words, pos
-        if k == 1:
-            return 0
-        while True:
-            if pos == len(words):
-                words = rng.integers(0, 2**32, size=_WORD_BLOCK, dtype=np.uint32).tolist()
-                pos = 0
-            prod = words[pos] * k
+
+def _multiply_shift(words: np.ndarray, k: np.ndarray):
+    """numpy's step of ``rng.integers(k)`` on each uint64 word x at once.
+
+    Returns the int64 indices ``(x * k) >> 32`` and whether each word is
+    rejected (see :class:`_WordStream`).  ``k`` is uint64 and broadcasts
+    against ``words``; every operand stays uint64, since older numpy turns
+    uint64 mixed with int64 into float64.
+    """
+    prod = words * k
+    return (prod >> _32).astype(np.int64), (prod & _LOW_32) < (_2_32 - k) % k
+
+
+_WORD_BLOCK = 4096  # 32-bit words fetched from the generator at a time, at least
+_BLOCK_WORDS = 384  # clean words in a row before a block is tried
+_MAX_BLOCK_WORDS = 2**15  # most words a speculative block draws
+_LOW_32, _32, _2_32 = np.uint64(2**32 - 1), np.uint64(32), np.uint64(2**32)
+
+
+class _WordStream:
+    """The 32-bit words ``rng.integers(k)`` reads for ``k < 2**32``, in order.
+
+    numpy turns one word x into ``(x * k) >> 32`` and reads another while
+    the low 32 bits of ``x * k`` fall below ``(2**32 - k) % k`` (Lemire's
+    multiply-shift rejection).  Words are fetched ahead, at least
+    ``_WORD_BLOCK`` at a time, into one uint64 array: the stream is the same
+    however the fetches cut it, so ``rng`` runs ahead of the draws and is
+    for this stream alone.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._words = np.empty(0, dtype=np.uint64)
+        self._plain = memoryview(self._words)  # reads plain ints
+        self._pos = 0  # the next unread word of _words
+
+    def ahead(self, count: int) -> np.ndarray:
+        """The next ``count`` words, left unread."""
+        if self._pos + count > self._words.size:
+            fresh = self._rng.integers(0, 2**32, size=max(count, _WORD_BLOCK),
+                                       dtype=np.uint64)
+            self._words = np.concatenate([self._words[self._pos:], fresh])
+            self._plain = memoryview(self._words)
+            self._pos = 0
+        return self._words[self._pos:self._pos + count]
+
+    def skip(self, count: int) -> None:
+        """Mark the next ``count`` words read; they must have been fetched."""
+        self._pos += count
+
+    def draw(self, k: int, count: int) -> list[int]:
+        """The next ``count`` values of ``int(rng.integers(k))``, as plain ints.
+
+        ``2 <= k < 2**32``: numpy reads no word for k == 1, where this would.
+        """
+        if not 2 <= k < 2**32:
+            raise ValueError(f"k must lie in [2, 2**32), got {k}")
+        threshold = (2**32 - k) % k
+        out: list[int] = []
+        plain, pos = self._plain, self._pos
+        end = len(plain)
+        while count:
+            if pos == end:
+                self._pos = pos
+                self.ahead(1)
+                plain, pos = self._plain, self._pos
+                end = len(plain)
+            prod = plain[pos] * k
             pos += 1
-            if prod & 0xFFFFFFFF >= (2**32 - k) % k:
-                return prod >> 32
-
-    return draw
+            if prod & 0xFFFFFFFF >= threshold:
+                out.append(prod >> 32)
+                count -= 1
+        self._pos = pos
+        return out
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:

@@ -4,7 +4,9 @@ Everything here is built naively from the edge tuple list and solved with
 numpy.linalg, on purpose: these are the oracles the matrix-free code paths
 get checked against, so they must not share any machinery with the package.
 ``plain_cg``, the reference for the solver's own iterates, touches the
-package only through the operator's ``apply``.
+package only through the operator's ``apply``.  ``barabasi_albert_urn`` is
+the preferential-attachment urn loop the generator replays, one
+``rng.integers`` call per draw.
 """
 
 import numpy as np
@@ -122,3 +124,32 @@ def plain_cg(op, b, tol):
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise AssertionError(f"plain CG did not reach tol={tol:g} in {max_iter} iterations")
+
+
+def barabasi_albert_urn(n, m, seed):
+    """The preferential-attachment urn loop, one draw at a time.
+
+    Returns ``(targets, sources)``: the K_m core's edges ``(i, j)`` for
+    i < j < m, row by row, then each node's m distinct targets in the order
+    drawn.  The urn holds one entry per unit of degree, and every draw is
+    ``int(rng.integers(len(urn)))`` on ``default_rng(seed)``.
+    """
+    rng = np.random.default_rng(seed)
+    targets = [i for j in range(m) for i in range(j)]
+    sources = [j for j in range(m) for _ in range(j)]
+    urn = [node for node in range(m) for _ in range(m - 1)]
+    for source in range(m, n):
+        if urn:
+            picked, chosen = [], set()
+            while len(picked) < m:
+                t = urn[int(rng.integers(len(urn)))]
+                if t not in chosen:
+                    chosen.add(t)
+                    picked.append(t)
+        else:
+            picked = list(range(source))  # m == 1: K_1 has no degree mass
+        targets.extend(picked)
+        sources.extend([source] * m)
+        urn.extend(picked)
+        urn.extend([source] * m)
+    return targets, sources

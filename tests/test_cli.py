@@ -228,6 +228,19 @@ def test_undecodable_graph_file_names_the_file_and_line(tmp_path, capsys):
     assert err == f"error: {path}: line 301: not valid UTF-8\n"
 
 
+def test_a_parse_error_before_an_undecodable_byte_is_named_first(tmp_path, capsys):
+    # text mode decodes 8 KB ahead of the line it hands out, so the bad byte
+    # on line 301 used to be reported before line 2's error
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"0 1\nx y\n" + "".join(f"{i} {i + 1}\n" for i in range(298)).encode()
+                     + b"2 \xff0\n")
+    code, _, err = run_cli(
+        capsys, "equilibrium", "--graph", str(path),
+        "--alpha", "1.0", "--beta", "0.5", "--gamma", "0.1")
+    assert code == 2
+    assert err == f"error: {path}: line 2: unparsable node id in 'x y'\n"
+
+
 @pytest.mark.parametrize("mode", ["equilibrium", "periods", "bounds"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1"])
 def test_tol_outside_unit_interval_exits_before_any_repetition(capsys, mode, tol):

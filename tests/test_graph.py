@@ -9,7 +9,7 @@ from fjmedia import (DiagPlusLaplacianOperator, Graph, gen_barabasi_albert,
                      write_edge_list)
 from fjmedia.cli import main as cli_main
 from graph_cases import KERNEL_GRAPHS
-from oracles import adjacency, edge_tuples, neighbors
+from oracles import adjacency, barabasi_albert_urn, edge_tuples, neighbors
 from oracles import laplacian as dense_laplacian
 
 
@@ -235,6 +235,15 @@ def test_load_errors_carry_line_numbers(tmp_path):
         (b"0 1\n1 2\n2 \xff0\n", "^line 3: not valid UTF-8$"),
         # still inside the first 8 KB that text mode decodes at once
         (_path_lines(300) + b"2 \xff0\n", "^line 301: not valid UTF-8$"),
+        # errors come in file order: line 2's, not the bad byte's on line 301
+        (b"0 1\nx y\n" + _path_lines(298) + b"2 \xff0\n",
+         "^line 2: unparsable node id in 'x y'$"),
+        (b"0 1\n1 2 3 4\n" + _path_lines(298) + b"\xff\n", "^line 2: expected"),
+        # lines end as text mode ends them: at a lone CR too
+        (b"0 1\r1 2\r2 3\r3 \xff4\r", "^line 4: not valid UTF-8$"),
+        (b"0 1\r\n1 2\r\n\r\n\xff\r\n", "^line 4: not valid UTF-8$"),
+        (b"0 1\r\xff", "^line 2: not valid UTF-8$"),
+        (b"\xff0 1\n", "^line 1: not valid UTF-8$"),
     ]
     for text, pattern in cases:
         p = tmp_path / "bad.txt"
@@ -277,6 +286,8 @@ LOADER_CASES = [
     ("comments and blanks", b"# head # er\n\n5 9\n  \t\n   # indented\n9 7\n7 5\n", True),
     ("generated, 3 columns", None, True),
     ("CRLF", b"0 1 1.5\r\n1 2 0.25\r\n", True),
+    ("lone CR", b"0 1 1.5\r1 2 0.25\r", True),
+    ("lone CR, 2 and 3 columns", b"# c\r0 1\r1 2 3\r", False),
     ("2 and 3 columns", b"0 1\n1 2 3\n", False),
     ("id above 2**63", b"0 1\n1 9223372036854775808\n", False),
     ("negative id", b"0 1\n-1 2\n", False),
@@ -402,18 +413,77 @@ def test_ba_edges_are_pinned_for_every_seed(n, m, seed, digest):
     assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
 
 
+# n up to 20 000 with m in {1, 2, 3, 5, 22, n - 1}, plus the two dense cases
+# the speed table names.  The urn loop takes about 1 s per 10**5 draws, so
+# the grid keeps n * m <= 10**5.  m = n - 1 draws about m ln m times, but the
+# loop's urn list starts with m(m - 1) entries, so it stops at n = 1000
+BA_GRID = sorted({(n, m) for n in (2, 3, 10, 23, 60, 200, 1000, 5000, 20000)
+                  for m in (1, 2, 3, 5, 22, n - 1)
+                  if 1 <= m < n and (n * m <= 10**5 or m == n - 1 <= 999)}
+                 | {(4039, 22), (1000, 30)})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("n, m", BA_GRID, ids=[f"n{n}-m{m}" for n, m in BA_GRID])
+def test_ba_replays_the_urn_loop_edge_for_edge(n, m, seed):
+    targets, sources = barabasi_albert_urn(n, m, seed)
+    g = gen_barabasi_albert(n, m, seed)
+    assert g.edge_u.tolist() == targets
+    assert g.edge_v.tolist() == sources
+
+
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
 def test_index_draws_match_rng_integers(seed):
-    # k == 1 takes no word; at k = 2**31 + 1 about half the words are
-    # rejected; at k = 3 * 2**30 the low bits of a word x * k with x = 3 mod 4
-    # equal the rejection threshold 2**30, which numpy accepts.  4 * 4000
-    # draws cross several word blocks
+    # numpy reads no word for k == 1, so leaving those draws out keeps the
+    # streams aligned; at k = 2**31 + 1 about half the words are rejected;
+    # at k = 3 * 2**30 the low bits of a word x * k with x = 3 mod 4 equal
+    # the rejection threshold 2**30, which numpy accepts.  4 * 4000 draws
+    # cross several word blocks
     random_k = np.random.default_rng(seed + 1).integers(1, 2**32, size=4000).tolist()
     ks = [k for r in random_k for k in (r, 1, 2**31 + 1, 3 * 2**30)]
     ks += [1, 2**32 - 1, 2, 1, 3]
-    draw = graph_module._index_draws(np.random.default_rng(seed))
+    words = graph_module._WordStream(np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    assert [draw(k) for k in ks] == [int(rng.integers(k)) for k in ks]
+    expected = [int(rng.integers(k)) for k in ks]
+    assert ([x for k in ks if k > 1 for x in words.draw(k, 1)]
+            == [x for k, x in zip(ks, expected) if k > 1])
+    # a batch is the same draws taken one at a time
+    words, rng = (graph_module._WordStream(np.random.default_rng(seed)),
+                  np.random.default_rng(seed))
+    assert words.draw(2**31 + 1, 9000) == [int(rng.integers(2**31 + 1)) for _ in range(9000)]
+
+
+@pytest.mark.parametrize("k", [1, 0, -3, 2**32, 2**40])
+def test_index_draws_refuse_k_outside_2_to_2_to_the_32(k):
+    # numpy reads no word for k == 1, where the multiply-shift would read one
+    words = graph_module._WordStream(np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"k must lie in \[2, 2\*\*32\)"):
+        words.draw(k, 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 123_456_789, 2**31 + 1, 3 * 2**30, 2**32 - 1])
+def test_block_multiply_shift_matches_rng_integers(k):
+    # the block replay's vectorised step: the words it accepts give numpy's
+    # draws in order.  At k = 3 * 2**30 a quarter of the words sit exactly on
+    # the rejection threshold, which numpy accepts
+    words = np.random.default_rng(5).integers(0, 2**32, size=4000, dtype=np.uint64)
+    idx, rejected = graph_module._multiply_shift(words, np.uint64(k))
+    accepted = idx[~rejected].tolist()
+    rng = np.random.default_rng(5)
+    assert accepted == [int(rng.integers(k)) for _ in accepted]
+    assert 0 < len(accepted) <= words.size
+
+
+def test_words_are_one_stream_however_the_fetches_cut_it():
+    # the block replay reads words ahead in fetches of its own sizes
+    words = graph_module._WordStream(np.random.default_rng(7))
+    cuts = [1, 4095, 3, 8192, 5000, 17, 2**15]
+    got = []
+    for count in cuts:
+        got.extend(words.ahead(count).tolist())
+        words.skip(count)
+    one = np.random.default_rng(7).integers(0, 2**32, size=sum(cuts), dtype=np.uint32)
+    assert got == one.tolist()
 
 
 def test_ba_refuses_an_urn_of_2_to_the_32_entries():

@@ -7,8 +7,11 @@ bounds, the non-stubborn source's opinion) unchanged.  An edge-list file must
 load back to the graph it describes, and a defect in it must be reported at
 its physical line.  The closed-form columns of an equilibrium row must hold
 against its solved sum at any alpha, and moving nodes from M' to M must never
-lower an equilibrium opinion.
+lower an equilibrium opinion.  The preferential-attachment generator must
+give the urn loop's edges for any size and seed, however its blocks fall.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from fjmedia import (ExperimentConfig, Graph, GraphSpec, MediaAssignment,
                      gen_barabasi_albert, gen_random_regular, load_edge_list,
                      nonstubborn_equilibrium, run_experiment, source_opinions,
                      sum_bounds, write_edge_list)
-from oracles import edge_tuples
+import fjmedia.graph as graph_module
+from oracles import barabasi_albert_urn, edge_tuples
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -270,3 +274,19 @@ def test_more_followers_of_M_never_lower_an_opinion(kind, n, seed, beta, gamma):
     z1, z2 = (equilibrium_with_media(system, s, build_zeta(
         MediaAssignment(m), src.z_M, src.z_Mprime), tol=1e-12).solution for m in (m1, m2))
     assert np.all(z2 >= z1 - 1e-9)
+
+
+@SETTINGS
+@given(st.integers(2, 400).flatmap(lambda n: st.tuples(
+           st.just(n), st.integers(1, min(n - 1, 8)), st.integers(0, 2**64 - 1))),
+       st.sampled_from([1, 16, 384]), st.sampled_from([8, 64, 2**15]))
+def test_ba_generator_replays_the_urn_loop(case, block_words, max_block_words):
+    # small thresholds put blocks where events are dense and chains of
+    # picks of picks run long; small caps cut the clean stretches short
+    n, m, seed = case
+    with mock.patch.multiple(graph_module, _BLOCK_WORDS=block_words,
+                             _MAX_BLOCK_WORDS=max_block_words):
+        g = gen_barabasi_albert(n, m, seed)
+    targets, sources = barabasi_albert_urn(n, m, seed)
+    assert g.edge_u.tolist() == targets
+    assert g.edge_v.tolist() == sources
