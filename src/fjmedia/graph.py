@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import re
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -249,36 +250,41 @@ def neighbor_sum(graph: Graph, x: np.ndarray, out: np.ndarray | None = None) -> 
 def load_edge_list(path) -> Graph:
     """Read a whitespace-separated edge list.
 
-    Lines are ``u v`` (weight 1.0) or ``u v w``; ``#`` starts a comment line
-    and blank lines are skipped.  Ids are non-negative integers of any size,
-    remapped to 0..n-1 by first appearance.  A malformed line is rejected as it
-    is read; the edge rules ``Graph`` checks on the whole edge set then name
-    the earliest offending line and its original ids.
+    Lines are ``u v`` (weight 1.0) or ``u v w``, ended by LF, CRLF or a lone
+    CR; ``#`` starts a comment line and blank lines are skipped.  Ids are
+    non-negative integers of any size, remapped to 0..n-1 by first
+    appearance.  A malformed line is rejected as it is read; the edge rules
+    ``Graph`` checks on the whole edge set then name the earliest offending
+    line and its original ids.
 
-    The file is first parsed as one table by numpy.  Whenever that parse
-    cannot take the whole file, or the edges break a rule, the file is read
-    again line by line, and only that reader words the error.
+    ``path`` is a file path, or a binary stream (anything with ``read``) that
+    is read to its end and left open.  The bytes are read once: numpy first
+    parses them as one table, and whenever that parse cannot take the whole
+    file, or the edges break a rule, the line reader parses the same bytes
+    and words the error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        graph = _load_table(fh)
-    return graph if graph is not None else _load_lines(path)
+    with (nullcontext(path) if hasattr(path, "read") else open(path, "rb")) as fh:
+        data = fh.read()
+    graph = _load_table(data)
+    return graph if graph is not None else _load_lines(data)
 
 
 # the first line whose first token does not start with '#'
 _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
 
 
-def _load_table(fh) -> Graph | None:
+def _load_table(data: bytes) -> Graph | None:
     # the whole file through np.loadtxt, or None to leave it to _load_lines
-    ncols = _table_columns(fh)
+    ncols = _table_columns(data)
     if not ncols:
         return None
     dtype = [("u", np.int64), ("v", np.int64), ("w", np.float64)][:ncols]
-    fh.seek(0)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. a float read into an id
-            table = np.loadtxt(fh, dtype=dtype, ndmin=1)
+            # text-mode line ends: over raw bytes a comment runs on past a lone CR
+            stream = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None)
+            table = np.loadtxt(stream, dtype=dtype, ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
     ids = np.empty(2 * table.size, dtype=np.int64)
@@ -288,21 +294,22 @@ def _load_table(fh) -> Graph | None:
     if ids.min() < 0:
         return None
     n = _relabel_by_first_appearance(ids)
+    ids = ids.reshape(-1, 2).T.copy()  # u and v as contiguous rows: Graph copies neither
     try:
-        return Graph(n, ids[0::2], ids[1::2], w)
+        return Graph(n, ids[0], ids[1], w)
     except _EdgeError:
         return None
 
 
-def _table_columns(fh) -> int:
+def _table_columns(data: bytes) -> int:
     # 2 or 3 when np.loadtxt would read the file as _load_lines does, else 0:
     # loadtxt misreads some non-ASCII digits as ASCII ones, and it cuts an
     # inline '#' where the line reader rejects the line
-    try:
-        text = fh.read()
-    except UnicodeDecodeError:
-        return 0  # the line reader reports the undecodable line
-    if not text.isascii() or not _comments_start_lines(text):
+    if not data.isascii():
+        return 0  # the line reader also reports an undecodable line
+    # lines end as text mode ends them, at a CRLF or a lone CR too
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None).read()
+    if not _comments_start_lines(text):
         return 0
     first = _DATA_LINE.search(text)
     ncols = len(first.group().split()) if first else 0
@@ -339,19 +346,16 @@ def _relabel_by_first_appearance(ids: np.ndarray) -> int:
     return int(starts.size)
 
 
-def _load_lines(path) -> Graph:
+def _load_lines(data: bytes) -> Graph:
     # the reference reader: one line at a time, and every error names its
     # line.  Errors come in file order: an undecodable byte is reported only
     # once every line before its own has parsed
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
         text, undecodable = data.decode("utf-8"), False
     except UnicodeDecodeError as exc:
         # the lines before the one that holds the bad byte
         cut = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
         text, undecodable = data[:cut].decode("utf-8"), True
-    del data
     ids: dict[int, int] = {}
     us, vs, ws, lines = [], [], [], []
     lineno = 0
@@ -396,19 +400,13 @@ def write_edge_list(graph: Graph, path, comment: str | None = None) -> None:
     ``path`` is a file path, or a text stream (anything with ``write``) that
     is written to and left open.
     """
-    if hasattr(path, "write"):
-        _write_edge_lines(graph, path, comment)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_edge_lines(graph, fh, comment)
-
-
-def _write_edge_lines(graph: Graph, fh, comment: str | None) -> None:
-    if comment:
-        for line in comment.splitlines():
-            fh.write(f"# {line}\n")
-    for a, b, c in zip(graph.edge_u, graph.edge_v, graph.edge_w):
-        fh.write(f"{int(a)} {int(b)} {c:.17g}\n")
+    with (nullcontext(path) if hasattr(path, "write")
+          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
+        if comment:
+            for line in comment.splitlines():
+                fh.write(f"# {line}\n")
+        for a, b, c in zip(graph.edge_u, graph.edge_v, graph.edge_w):
+            fh.write(f"{int(a)} {int(b)} {c:.17g}\n")
 
 
 # ---------------------------------------------------------------------------

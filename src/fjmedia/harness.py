@@ -14,7 +14,7 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -77,11 +77,9 @@ class GraphSpec:
             raise ValueError(f"{self.kind} graph spec needs {' and '.join(missing)}")
 
     def build(self, seed: int) -> Graph:
+        """Generate the graph; :func:`run_experiment` reads a file graph."""
         if self.kind == "file":
-            try:
-                return load_edge_list(self.path)
-            except ValueError as exc:  # OSError text already names the file
-                raise ValueError(f"{self.path}: {exc}") from exc
+            raise ValueError("a file graph is read, not built: use load_edge_list")
         if self.kind == "ba":
             return gen_barabasi_albert(self.n, self.m, seed)
         return gen_random_regular(self.n, self.d, seed)
@@ -173,14 +171,6 @@ def sample_innate(n: int, mu: float, sigma: float, seed: int) -> np.ndarray:
     return np.clip(rng.normal(mu, sigma, n), 0.0, 1.0)
 
 
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _rep_streams(rep_seed: int) -> tuple[int, int, int]:
     # one child seed per random consumer, all derived from base_seed + rep
     state = np.random.SeedSequence(rep_seed).generate_state(3, dtype=np.uint64)
@@ -203,13 +193,21 @@ def run_experiment(config: ExperimentConfig):
         manifest.add(k, v)
     file_graph = None
     if config.graph.kind == "file":
-        # a file graph ignores the seed: check and load it once, before any repetition
-        digest = _file_sha256(config.graph.path)
+        # a file graph ignores the seed: its bytes are read once, before any
+        # repetition, and the digest, its check and the parse all see them
+        path = config.graph.path
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest = hashlib.sha256(data).hexdigest()
         if config.graph.sha256 not in (None, digest):
-            raise ValueError(f"{config.graph.path}: sha256 {digest} differs from the "
+            raise ValueError(f"{path}: sha256 {digest} differs from the "
                              f"recorded {config.graph.sha256}; the file changed")
         manifest.add("graph.sha256", digest)
-        file_graph = config.graph.build(0)
+        try:
+            file_graph = load_edge_list(io.BytesIO(data))
+        except ValueError as exc:  # OSError text already names the file
+            raise ValueError(f"{path}: {exc}") from exc
+        del data
     for key in ("alpha", "beta", "gamma", "innate_mu", "innate_var", "innate_sigma",
                 "repetitions", "base_seed", "tol"):
         manifest.add(key, getattr(config, key))
@@ -329,13 +327,16 @@ def config_from_manifest(text: str, output: str | None = None) -> ExperimentConf
     if recorded not in (None, fixed):
         raise ValueError(f"fixed_point_tol = {recorded!r} cannot be rerun: every "
                          f"run stops at {fixed}")
-    kind = kv["graph.kind"]
-    graph = GraphSpec(kind, sha256=kv.get("graph.sha256"), **{
-        p: kv[f"graph.{p}"] if p == "path" else int(kv[f"graph.{p}"])
-        for p in GraphSpec.SOURCES.get(kind, ())})
     # a config field without a manifest line (max_periods outside periods
-    # mode) keeps its default
+    # mode) keeps its default; a field without a default needs its line
     casts = {"mode": str, "repetitions": int, "base_seed": int, "max_periods": int}
-    run = {k: casts.get(k, float)(kv[k])
-           for k in (f.name for f in fields(ExperimentConfig)) if k in kv}
+    try:
+        kind = kv["graph.kind"]
+        graph = GraphSpec(kind, sha256=kv.get("graph.sha256"), **{
+            p: kv[f"graph.{p}"] if p == "path" else int(kv[f"graph.{p}"])
+            for p in GraphSpec.SOURCES.get(kind, ())})
+        run = {f.name: casts.get(f.name, float)(kv[f.name]) for f in fields(ExperimentConfig)
+               if f.name in kv or f.default is MISSING and f.name != "graph"}
+    except KeyError as exc:
+        raise ValueError(f"manifest lacks {exc.args[0]}") from None
     return ExperimentConfig(graph=graph, output=output, **run)

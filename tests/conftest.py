@@ -1,3 +1,4 @@
+import builtins
 import sys
 from pathlib import Path
 
@@ -35,3 +36,17 @@ def residual_hook(monkeypatch):
 
     monkeypatch.setattr(numerics, "_pcg", checked)
     yield real_pcg
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The file argument of every ``open`` call made during the test, in order."""
+    calls = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        calls.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return calls

@@ -1,4 +1,5 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -271,6 +272,12 @@ def test_write_load_roundtrip(tmp_path):
     g2 = load_edge_list(p)
     assert g2.n == g.n
     assert edge_tuples(g2) == edge_tuples(g)
+    # through streams, which both functions leave open
+    text, data = io.StringIO(), io.BytesIO(p.read_bytes())
+    write_edge_list(g, text, comment="roundtrip check")
+    assert text.getvalue().encode() == data.getvalue()
+    assert edge_tuples(load_edge_list(data)) == edge_tuples(g)
+    assert not (text.closed or data.closed)
 
 
 def test_load_handles_crlf(tmp_path):
@@ -288,6 +295,7 @@ LOADER_CASES = [
     ("CRLF", b"0 1 1.5\r\n1 2 0.25\r\n", True),
     ("lone CR", b"0 1 1.5\r1 2 0.25\r", True),
     ("lone CR, 2 and 3 columns", b"# c\r0 1\r1 2 3\r", False),
+    ("comment ended by a lone CR", b"# c\r0 1\n1 2\n", True),
     ("2 and 3 columns", b"0 1\n1 2 3\n", False),
     ("id above 2**63", b"0 1\n1 9223372036854775808\n", False),
     ("negative id", b"0 1\n-1 2\n", False),
@@ -323,9 +331,26 @@ def test_load_table_parse_matches_the_line_reader(tmp_path, capsys, name, data,
                                           "tail_starts"))
         return g.n, [None if a is None else a.tobytes() for a in stored]
 
-    assert outcome(load_edge_list) == outcome(graph_module._load_lines)
-    with open(p, encoding="utf-8") as fh:
-        assert (graph_module._load_table(fh) is not None) == whole_table
+    data = p.read_bytes()
+    assert outcome(load_edge_list) == outcome(lambda _: graph_module._load_lines(data))
+    assert (graph_module._load_table(data) is not None) == whole_table
+
+
+@pytest.mark.parametrize("data, error", [
+    (b"0 1\n1 2\n", None),
+    (b"0 1\n1 2 3\n", None),  # the table parse does not take it
+    (b"0 1\n1 1\n", "^line 2: self-loop 1-1$"),
+], ids=["table", "line reader", "error"])
+def test_load_opens_the_file_once(tmp_path, opened, data, error):
+    # the table parse, the line reader and the error all read the same bytes
+    p = tmp_path / "g.txt"
+    p.write_bytes(data)
+    if error is None:
+        assert load_edge_list(p).m == 2
+    else:
+        with pytest.raises(ValueError, match=error):
+            load_edge_list(p)
+    assert opened == [p]
 
 
 # ---------------------------------------------------------------------------

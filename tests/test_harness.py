@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import fjmedia.graph as graph_module
 from fjmedia import (CSV_COLUMNS, ExperimentConfig, GraphSpec,
                      config_from_manifest, gen_barabasi_albert, rows_to_csv,
                      run_experiment, sample_innate, write_edge_list)
@@ -67,6 +68,9 @@ def test_graph_spec_validation():
         GraphSpec(kind="dreg")
     with pytest.raises(ValueError):
         GraphSpec(kind="erdos", n=10)
+    # run_experiment reads a file graph, with its digest check
+    with pytest.raises(ValueError, match="a file graph is read, not built"):
+        GraphSpec(kind="file", path="net.edges").build(0)
 
 
 def test_graph_spec_build():
@@ -300,6 +304,48 @@ def test_manifest_round_trip_file_graph(tmp_path):
     with pytest.raises(ValueError, match="sha256") as exc_info:
         run_experiment(rebuilt)
     assert str(path) in str(exc_info.value)
+
+
+def test_file_graph_is_read_once_and_hashed_as_parsed(tmp_path, monkeypatch, opened):
+    # one open of the path per run: the digest names the bytes the parser
+    # got, and a file edited after the run is refused before any parse
+    path = _edge_file(tmp_path)
+    opened.clear()  # writing the file opened it
+    parsed, real_load_table = [], graph_module._load_table
+
+    def spying_load_table(data):
+        parsed.append(data)
+        return real_load_table(data)
+
+    monkeypatch.setattr(graph_module, "_load_table", spying_load_table)
+    config = ExperimentConfig(mode="equilibrium",
+                              graph=GraphSpec(kind="file", path=str(path)),
+                              alpha=0.8, beta=0.3, gamma=0.02, repetitions=2)
+    manifest, _ = run_experiment(config)
+    assert opened == [str(path)]
+    assert [hashlib.sha256(d).hexdigest() for d in parsed] == [manifest.get("graph.sha256")]
+
+    with path.open("a") as fh:
+        fh.write("# edited\n")
+    opened.clear()
+    parsed.clear()
+    with pytest.raises(ValueError, match="the file changed"):
+        run_experiment(config_from_manifest(manifest.text()))
+    assert opened == [str(path)]
+    assert parsed == []
+
+
+@pytest.mark.parametrize("key", ["mode", "graph.kind", "graph.n", "graph.d", "graph.path",
+                                 "alpha", "beta", "gamma"])
+def test_manifest_without_a_required_line_is_refused(tmp_path, key):
+    graph = (GraphSpec(kind="file", path=str(_edge_file(tmp_path))) if key == "graph.path"
+             else GraphSpec(kind="dreg", n=40, d=4))
+    text = run_experiment(dreg_config(graph=graph, repetitions=1))[0].text()
+    edited = "".join(line for line in text.splitlines(keepends=True)
+                     if not line.startswith(f"{key} ="))
+    assert edited != text
+    with pytest.raises(ValueError, match=f"^manifest lacks {key}$"):
+        config_from_manifest(edited)
 
 
 def test_manifest_round_trip_epsilon_none(tmp_path):

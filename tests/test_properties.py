@@ -150,8 +150,12 @@ def edge_file_lines(draw, edges):
     return lines
 
 
-def write_lines(path, lines, crlf):
-    path.write_bytes(("\r\n" if crlf else "\n").join(lines + [""]).encode())
+# every line ending text mode reads: LF, CRLF and a lone CR
+NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def write_lines(path, lines, newline):
+    path.write_bytes(newline.join(lines + [""]).encode())
 
 
 def is_data(line):
@@ -170,11 +174,11 @@ def test_write_then_load_returns_the_graph(edge_file, g):
 
 
 @SETTINGS
-@given(st.data(), simple_edges(), st.booleans())
-def test_load_remaps_any_ids_by_first_appearance(edge_file, data, edges, crlf):
+@given(st.data(), simple_edges(), NEWLINES)
+def test_load_remaps_any_ids_by_first_appearance(edge_file, data, edges, newline):
     edges = [(a, b, 1.0 if k % 3 == 0 else w) for k, (a, b, w) in enumerate(edges)]
     lines = data.draw(edge_file_lines(edges))
-    write_lines(edge_file, lines, crlf)
+    write_lines(edge_file, lines, newline)
 
     ids, expected = {}, []
     for parts in (line.split() for line in lines if is_data(line)):
@@ -206,8 +210,8 @@ DEFECTS = {
 
 
 @SETTINGS
-@given(st.data(), simple_edges(), st.sampled_from(list(DEFECTS)), st.booleans())
-def test_load_error_names_the_defect_line(edge_file, data, edges, defect, crlf):
+@given(st.data(), simple_edges(), st.sampled_from(list(DEFECTS)), NEWLINES)
+def test_load_error_names_the_defect_line(edge_file, data, edges, defect, newline):
     lines = data.draw(edge_file_lines(edges))
     rows = [k for k, line in enumerate(lines) if is_data(line)]
     if DEFECTS[defect] is None:
@@ -218,7 +222,7 @@ def test_load_error_names_the_defect_line(edge_file, data, edges, defect, crlf):
         at = data.draw(st.integers(0, len(lines)))
         bad = DEFECTS[defect].format(a=data.draw(file_id), b=data.draw(file_id) + 1)
     lines.insert(at, bad)
-    write_lines(edge_file, lines, crlf)
+    write_lines(edge_file, lines, newline)
 
     with pytest.raises(ValueError, match=f"^line {at + 1}: "):
         load_edge_list(edge_file)
