@@ -420,22 +420,24 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
     proportional to current degree: it draws uniform indices into an urn
     that holds one entry per unit of degree, and draws again on a target it
     already picked.  Unit weights.  Each urn index is the one
-    ``rng.integers(len(urn))`` on ``default_rng(seed)`` would give (see
-    :class:`_WordStream`), so the edges and their order depend on the seed
-    alone.  The urn must stay below 2**32 entries.
+    ``rng.integers(len(urn))`` on ``default_rng(seed)`` would give, so the
+    edges and their order depend on the seed alone.  The urn must stay below
+    2**32 entries: at that size the two int64 edge arrays alone take 32 GiB.
 
     The urn is never built.  Before node j draws, it holds
     ``m(m-1) + 2m(j-m)`` entries: m-1 for each core node, then for each
     earlier node its m picks followed by m copies of itself, so arithmetic
     on an index names its node or the earlier pick it copies.  The draws
     are replayed in blocks.  A block speculates that each of its nodes
-    takes exactly m words, draws all of them at once, resolves picks of
-    picks inside the block, and keeps the nodes before the first one that
-    meets a rejected word or a repeated target.  That node is drawn one
-    word at a time, and the next block starts after it.  Blocks grow while
-    they run clean; where such events come close together (small j, large
-    m), nodes are drawn one at a time.  Either way every seed gives the
-    graph the plain urn loop gives, edge for edge.
+    draws exactly m indices and makes all of them in one ``rng.integers``
+    call with one bound per node; numpy draws an array of bounds element by
+    element, as one call per index would.  The block resolves picks of
+    picks, keeps the nodes before the first one that picks a target twice,
+    and rewinds the generator to draw those nodes' indices alone.  That
+    node is drawn by itself, and the next block starts after it.  Blocks
+    grow while they run clean; where repeats come close together (small j,
+    large m), nodes are drawn one at a time.  Either way every seed gives
+    the graph the plain urn loop gives, edge for edge.
 
     Edge count is m(m-1)/2 + (n-m)m.
     """
@@ -445,9 +447,8 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
         raise ValueError("m must be < n")
     core, span = m * (m - 1), 2 * m  # span: the urn entries each node adds
     if core + span * (n - m) >= 2**32:
-        raise ValueError(f"n = {n} and m = {m} need a degree urn of 2**32 or more "
-                         f"entries; the generator draws urn indices below 2**32")
-    words = _WordStream(np.random.default_rng(seed))
+        raise ValueError(f"n = {n} and m = {m} need a degree urn of 2**32 or more entries")
+    rng = np.random.default_rng(seed)
     # edge k joins targets[k] and sources[k]: the K_m core row by row, then
     # node j's m targets in draw order at picks[(j - m) * m + o]
     core_edges = core // 2
@@ -456,36 +457,35 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
     sources[core_edges:].reshape(n - m, m)[:] = np.arange(m, n)[:, None]
     picks = targets[core_edges:]
     plain = memoryview(picks)  # reads and writes plain ints
-    draw = words.draw
 
     j = m
     if m == 1:
         # K_1 has no edge and no degree mass: node 1 takes node 0, its only
-        # legal target, and draws no word
+        # legal target, and draws nothing
         picks[0] = 0
         j = 2
     else:
         sources[:core_edges], targets[:core_edges] = np.nonzero(np.tri(m, k=-1, dtype=bool))
-    # run counts the nodes in a row that met no event; a block pays for its
-    # numpy calls only past _BLOCK_WORDS words' worth of them
+    # run counts the nodes in a row that picked no target twice; a block
+    # pays for its numpy calls only past _BLOCK_WORDS draws' worth of them
     run, least = 0, -(-_BLOCK_WORDS // m)
     while j < n:
         if run >= least:
             size = min(2 * run, -(-_MAX_BLOCK_WORDS // m), n - j)
-            kept = _draw_block(words, picks, m, j, size)
+            kept = _draw_block(rng, picks, m, j, size)
             j += kept
             if kept == size:
                 run += kept
                 continue
-            run = kept  # node j met an event: it is drawn alone below
+            run = kept  # node j picked a target twice: it is drawn alone below
         # node j on plain ints.  It asks for as many indices as it lacks
-        # targets, so it reads no word the urn loop would not
+        # targets, so it draws nothing the urn loop would not
         k, at = core + span * (j - m), (j - m) * m
         stop, asked = at + m, 0
         chosen: set[int] = set()
         while at < stop:
             asked += 1
-            for idx in draw(k, stop - at):
+            for idx in rng.integers(k, size=stop - at).tolist():
                 rel = idx - core
                 if rel < 0:
                     t = idx // (m - 1)
@@ -498,22 +498,21 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
                     at += 1
         run = run + 1 if asked == 1 else run // 2
         j += 1
-    del words, plain, draw  # the word buffer goes before the graph is built
     return Graph(n, targets, sources, np.ones(edges))
 
 
-def _draw_block(words: _WordStream, picks: np.ndarray, m: int, j: int, size: int) -> int:
-    """Draw nodes j..j+size-1 of the urn replay at m words each, into ``picks``.
+def _draw_block(rng: np.random.Generator, picks: np.ndarray, m: int, j: int,
+                size: int) -> int:
+    """Draw nodes j..j+size-1 of the urn replay at m indices each, into ``picks``.
 
-    Returns how many of them, from j on, met no event (a rejected word or a
-    target drawn twice); their picks are final and their words are read.
+    Returns how many of them, from j on, picked no target twice; their picks
+    are final, and ``rng`` has made their draws and no others.
     """
     core, span = m * (m - 1), 2 * m
     k0 = core + span * (j - m)
-    k = np.arange(k0, k0 + span * size, span, dtype=np.uint64)[:, None]
-    idx, rejected = _multiply_shift(words.ahead(size * m).reshape(size, m), k)
-    bad = rejected.any(axis=1)
-    idx = idx.ravel()
+    k = np.arange(k0, k0 + span * size, span)[:, None]
+    state = rng.bit_generator.state
+    idx = rng.integers(0, k, size=(size, m)).ravel()
     rel = idx - core
     base = (j - m) * m
     seg = picks[base:base + size * m]
@@ -534,86 +533,17 @@ def _draw_block(words: _WordStream, picks: np.ndarray, m: int, j: int, size: int
         seg[ref] = got
     if m > 1:
         rows = np.sort(seg.reshape(size, m), axis=1)
-        bad |= (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-    events = np.flatnonzero(bad)
-    kept = int(events[0]) if events.size else size
-    words.skip(kept * m)
-    return kept
+        repeats = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+        if repeats.size:
+            kept = int(repeats[0])
+            rng.bit_generator.state = state  # redraw the kept nodes' indices alone
+            rng.integers(0, k[:kept], size=(kept, m))
+            return kept
+    return size
 
 
-def _multiply_shift(words: np.ndarray, k: np.ndarray):
-    """numpy's step of ``rng.integers(k)`` on each uint64 word x at once.
-
-    Returns the int64 indices ``(x * k) >> 32`` and whether each word is
-    rejected (see :class:`_WordStream`).  ``k`` is uint64 and broadcasts
-    against ``words``; every operand stays uint64, since older numpy turns
-    uint64 mixed with int64 into float64.
-    """
-    prod = words * k
-    return (prod >> _32).astype(np.int64), (prod & _LOW_32) < (_2_32 - k) % k
-
-
-_WORD_BLOCK = 4096  # 32-bit words fetched from the generator at a time, at least
-_BLOCK_WORDS = 384  # clean words in a row before a block is tried
-_MAX_BLOCK_WORDS = 2**15  # most words a speculative block draws
-_LOW_32, _32, _2_32 = np.uint64(2**32 - 1), np.uint64(32), np.uint64(2**32)
-
-
-class _WordStream:
-    """The 32-bit words ``rng.integers(k)`` reads for ``k < 2**32``, in order.
-
-    numpy turns one word x into ``(x * k) >> 32`` and reads another while
-    the low 32 bits of ``x * k`` fall below ``(2**32 - k) % k`` (Lemire's
-    multiply-shift rejection).  Words are fetched ahead, at least
-    ``_WORD_BLOCK`` at a time, into one uint64 array: the stream is the same
-    however the fetches cut it, so ``rng`` runs ahead of the draws and is
-    for this stream alone.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._words = np.empty(0, dtype=np.uint64)
-        self._plain = memoryview(self._words)  # reads plain ints
-        self._pos = 0  # the next unread word of _words
-
-    def ahead(self, count: int) -> np.ndarray:
-        """The next ``count`` words, left unread."""
-        if self._pos + count > self._words.size:
-            fresh = self._rng.integers(0, 2**32, size=max(count, _WORD_BLOCK),
-                                       dtype=np.uint64)
-            self._words = np.concatenate([self._words[self._pos:], fresh])
-            self._plain = memoryview(self._words)
-            self._pos = 0
-        return self._words[self._pos:self._pos + count]
-
-    def skip(self, count: int) -> None:
-        """Mark the next ``count`` words read; they must have been fetched."""
-        self._pos += count
-
-    def draw(self, k: int, count: int) -> list[int]:
-        """The next ``count`` values of ``int(rng.integers(k))``, as plain ints.
-
-        ``2 <= k < 2**32``: numpy reads no word for k == 1, where this would.
-        """
-        if not 2 <= k < 2**32:
-            raise ValueError(f"k must lie in [2, 2**32), got {k}")
-        threshold = (2**32 - k) % k
-        out: list[int] = []
-        plain, pos = self._plain, self._pos
-        end = len(plain)
-        while count:
-            if pos == end:
-                self._pos = pos
-                self.ahead(1)
-                plain, pos = self._plain, self._pos
-                end = len(plain)
-            prod = plain[pos] * k
-            pos += 1
-            if prod & 0xFFFFFFFF >= threshold:
-                out.append(prod >> 32)
-                count -= 1
-        self._pos = pos
-        return out
+_BLOCK_WORDS = 96  # clean draws in a row before a block is tried
+_MAX_BLOCK_WORDS = 2**15  # most draws a speculative block makes
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:

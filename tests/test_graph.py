@@ -457,60 +457,6 @@ def test_ba_replays_the_urn_loop_edge_for_edge(n, m, seed):
     assert g.edge_v.tolist() == sources
 
 
-@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
-def test_index_draws_match_rng_integers(seed):
-    # numpy reads no word for k == 1, so leaving those draws out keeps the
-    # streams aligned; at k = 2**31 + 1 about half the words are rejected;
-    # at k = 3 * 2**30 the low bits of a word x * k with x = 3 mod 4 equal
-    # the rejection threshold 2**30, which numpy accepts.  4 * 4000 draws
-    # cross several word blocks
-    random_k = np.random.default_rng(seed + 1).integers(1, 2**32, size=4000).tolist()
-    ks = [k for r in random_k for k in (r, 1, 2**31 + 1, 3 * 2**30)]
-    ks += [1, 2**32 - 1, 2, 1, 3]
-    words = graph_module._WordStream(np.random.default_rng(seed))
-    rng = np.random.default_rng(seed)
-    expected = [int(rng.integers(k)) for k in ks]
-    assert ([x for k in ks if k > 1 for x in words.draw(k, 1)]
-            == [x for k, x in zip(ks, expected) if k > 1])
-    # a batch is the same draws taken one at a time
-    words, rng = (graph_module._WordStream(np.random.default_rng(seed)),
-                  np.random.default_rng(seed))
-    assert words.draw(2**31 + 1, 9000) == [int(rng.integers(2**31 + 1)) for _ in range(9000)]
-
-
-@pytest.mark.parametrize("k", [1, 0, -3, 2**32, 2**40])
-def test_index_draws_refuse_k_outside_2_to_2_to_the_32(k):
-    # numpy reads no word for k == 1, where the multiply-shift would read one
-    words = graph_module._WordStream(np.random.default_rng(0))
-    with pytest.raises(ValueError, match=r"k must lie in \[2, 2\*\*32\)"):
-        words.draw(k, 1)
-
-
-@pytest.mark.parametrize("k", [2, 3, 123_456_789, 2**31 + 1, 3 * 2**30, 2**32 - 1])
-def test_block_multiply_shift_matches_rng_integers(k):
-    # the block replay's vectorised step: the words it accepts give numpy's
-    # draws in order.  At k = 3 * 2**30 a quarter of the words sit exactly on
-    # the rejection threshold, which numpy accepts
-    words = np.random.default_rng(5).integers(0, 2**32, size=4000, dtype=np.uint64)
-    idx, rejected = graph_module._multiply_shift(words, np.uint64(k))
-    accepted = idx[~rejected].tolist()
-    rng = np.random.default_rng(5)
-    assert accepted == [int(rng.integers(k)) for _ in accepted]
-    assert 0 < len(accepted) <= words.size
-
-
-def test_words_are_one_stream_however_the_fetches_cut_it():
-    # the block replay reads words ahead in fetches of its own sizes
-    words = graph_module._WordStream(np.random.default_rng(7))
-    cuts = [1, 4095, 3, 8192, 5000, 17, 2**15]
-    got = []
-    for count in cuts:
-        got.extend(words.ahead(count).tolist())
-        words.skip(count)
-    one = np.random.default_rng(7).integers(0, 2**32, size=sum(cuts), dtype=np.uint32)
-    assert got == one.tolist()
-
-
 def test_ba_refuses_an_urn_of_2_to_the_32_entries():
     # m(m-1) + 2m(n-m) urn entries: 2**33 - 6 here, refused before anything
     # is built

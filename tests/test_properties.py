@@ -154,8 +154,15 @@ def edge_file_lines(draw, edges):
 NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
 
 
-def write_lines(path, lines, newline):
-    path.write_bytes(newline.join(lines + [""]).encode())
+def write_lines(path, data, lines):
+    """Write ``lines``, each ended by a line ending of its own from ``NEWLINES``."""
+    text = ""
+    for line in lines:
+        newline = data.draw(NEWLINES)
+        if not line and newline == "\n" and text.endswith("\r"):
+            newline = "\r\n"  # a lone CR, then an empty line's LF, would read as one CRLF
+        text += line + newline
+    path.write_bytes(text.encode())
 
 
 def is_data(line):
@@ -173,12 +180,18 @@ def test_write_then_load_returns_the_graph(edge_file, g):
     assert np.array_equal(g2.degree, g.degree)
 
 
-@SETTINGS
-@given(st.data(), simple_edges(), NEWLINES)
-def test_load_remaps_any_ids_by_first_appearance(edge_file, data, edges, newline):
-    edges = [(a, b, 1.0 if k % 3 == 0 else w) for k, (a, b, w) in enumerate(edges)]
+# a comment ended by a lone CR just before a data line, in a file that the
+# table parse reads and that has no other lone CR, turns up in about one
+# example in 60 here: enough examples to meet it
+@settings(SETTINGS, max_examples=300)
+@given(st.data(), simple_edges())
+def test_load_remaps_any_ids_by_first_appearance(edge_file, data, edges):
+    # unit weights (2-column rows) on every row, on every third or on none: a
+    # file of one width takes the table parse, a mixed one the line reader
+    every = data.draw(st.sampled_from([1, 3, None]))
+    edges = [(a, b, 1.0 if every and k % every == 0 else w) for k, (a, b, w) in enumerate(edges)]
     lines = data.draw(edge_file_lines(edges))
-    write_lines(edge_file, lines, newline)
+    write_lines(edge_file, data, lines)
 
     ids, expected = {}, []
     for parts in (line.split() for line in lines if is_data(line)):
@@ -210,8 +223,8 @@ DEFECTS = {
 
 
 @SETTINGS
-@given(st.data(), simple_edges(), st.sampled_from(list(DEFECTS)), NEWLINES)
-def test_load_error_names_the_defect_line(edge_file, data, edges, defect, newline):
+@given(st.data(), simple_edges(), st.sampled_from(list(DEFECTS)))
+def test_load_error_names_the_defect_line(edge_file, data, edges, defect):
     lines = data.draw(edge_file_lines(edges))
     rows = [k for k, line in enumerate(lines) if is_data(line)]
     if DEFECTS[defect] is None:
@@ -222,7 +235,7 @@ def test_load_error_names_the_defect_line(edge_file, data, edges, defect, newlin
         at = data.draw(st.integers(0, len(lines)))
         bad = DEFECTS[defect].format(a=data.draw(file_id), b=data.draw(file_id) + 1)
     lines.insert(at, bad)
-    write_lines(edge_file, lines, newline)
+    write_lines(edge_file, data, lines)
 
     with pytest.raises(ValueError, match=f"^line {at + 1}: "):
         load_edge_list(edge_file)
@@ -283,7 +296,7 @@ def test_more_followers_of_M_never_lower_an_opinion(kind, n, seed, beta, gamma):
 @SETTINGS
 @given(st.integers(2, 400).flatmap(lambda n: st.tuples(
            st.just(n), st.integers(1, min(n - 1, 8)), st.integers(0, 2**64 - 1))),
-       st.sampled_from([1, 16, 384]), st.sampled_from([8, 64, 2**15]))
+       st.sampled_from([1, 16, 96, 384]), st.sampled_from([8, 64, 2**15]))
 def test_ba_generator_replays_the_urn_loop(case, block_words, max_block_words):
     # small thresholds put blocks where events are dense and chains of
     # picks of picks run long; small caps cut the clean stretches short
