@@ -11,10 +11,14 @@ gathers at a time, left to right, and then each tail row with one
 ``np.add.reduceat``: a regular graph has no tail, and a graph with an
 isolated node has K = 0 and no head.  ``neighbor_sum`` takes ``out=`` so a
 solver can reuse its vectors.  Per-entry weights are stored only when some weight is
-not exactly 1.0, so a unit-weight graph skips the weight multiply.
+not exactly 1.0, so a unit-weight graph skips the weight multiply.  Its
+adjacency keys are then sorted by value, in place; only a weighted graph
+also forms their sorting permutation, to carry each entry's weight.
 
 Node ids are dense 0..n-1.  Only ``Graph`` knows the edge rules; ``load_edge_list``
 parses text, remaps ids by first appearance and names a rejected edge's line.
+The remap, too, is a value sort: each id is packed with its position, so
+the sorted values give what a stable argsort of the ids would.
 """
 
 from __future__ import annotations
@@ -98,30 +102,35 @@ class Graph:
         n = self.n
         if n < 1:
             raise ValueError("graph needs at least one node")
-        u = np.asarray(self.edge_u, dtype=np.int64).ravel()
-        v = np.asarray(self.edge_v, dtype=np.int64).ravel()
+        u = np.asarray(self.edge_u, dtype=np.int64).reshape(-1)  # read, never kept
+        v = np.asarray(self.edge_v, dtype=np.int64).reshape(-1)
         w = np.asarray(self.edge_w, dtype=np.float64).ravel()
-        if not (u.shape == v.shape == w.shape):
+        m = u.size
+        if not (m == v.size == w.size):
             raise ValueError("edge arrays must have identical length")
-        if u.size and not (min(u.min(), v.min()) >= 0 and max(u.max(), v.max()) < n
-                           and not np.any(u == v)
-                           and not (np.any(~np.isfinite(w)) or np.any(w <= 0))):
+        if m and not (min(u.min(), v.min()) >= 0 and max(u.max(), v.max()) < n
+                      and not np.any(u == v)
+                      and not (np.any(~np.isfinite(w)) or np.any(w <= 0))):
             raise _first_bad_edge(n, u, v, w)
         # each edge gives the directed entries (u, v) and (v, u); one sort of
         # their keys row*n + col lists every row's neighbours in id order,
         # and a pair given twice in either orientation shows as two equal
-        # adjacent keys
-        keys = np.concatenate([u, v])  # the rows, until scaled in place
+        # adjacent keys.  With unit weights the keys are sorted by value;
+        # otherwise their permutation also carries each entry's weight
+        keys = np.empty(2 * m, dtype=np.int64)
+        keys[:m], keys[m:] = u, v  # the rows, until scaled in place
         counts = np.bincount(keys, minlength=n)
         keys *= n
-        keys += np.concatenate([v, u])
-        order = np.argsort(keys)
-        keys = keys[order]
+        keys[:m] += v
+        keys[m:] += u
+        unit = bool(np.all(w == 1.0))
+        order = None if unit else np.argsort(keys)
+        keys.sort()
         if np.any(keys[1:] == keys[:-1]):
             raise _first_bad_edge(n, u, v, w)
         keys %= n  # now the neighbour ids
-        order %= u.size  # directed key k came from edge k mod m
-        unit = bool(np.all(w == 1.0))
+        if order is not None:
+            order %= m  # directed key k came from edge k mod m
         # row i starts at sorted position row_start[i]; its first K entries
         # go to the head, the rest to the tail.  The head is filled a row at
         # a time: one (K, n) index array would raise peak memory by up to
@@ -137,6 +146,9 @@ class Graph:
             if head_w is not None:
                 head_w[k] = w[order[at]]
             in_tail[at] = False
+        tail = keys[in_tail]
+        tail_w = None if unit else w[order[in_tail]]
+        del keys, order, in_tail
         tail_len = counts - k_min
         tail_rows = np.flatnonzero(tail_len)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -144,8 +156,7 @@ class Graph:
             hi, weights=w, minlength=n
         )
         stored = (("edge_u", lo), ("edge_v", hi), ("edge_w", w), ("degree", deg),
-                  ("head", head), ("tail", keys[in_tail]), ("head_w", head_w),
-                  ("tail_w", None if unit else w[order[in_tail]]),
+                  ("head", head), ("tail", tail), ("head_w", head_w), ("tail_w", tail_w),
                   ("tail_rows", tail_rows),
                   ("tail_starts", (np.cumsum(tail_len) - tail_len)[tail_rows]))
         for name, arr in stored:
@@ -287,16 +298,20 @@ def _load_table(data: bytes) -> Graph | None:
             table = np.loadtxt(stream, dtype=dtype, ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
-    ids = np.empty(2 * table.size, dtype=np.int64)
-    ids[0::2], ids[1::2] = table["u"], table["v"]
-    w = table["w"].copy() if ncols == 3 else np.ones(table.size)
+    if ncols == 2:
+        ids = table.view(np.int64)  # u0 v0 u1 v1 ...: two int64 fields, no padding
+        w = np.ones(table.size)
+    else:
+        ids = np.empty(2 * table.size, dtype=np.int64)
+        ids[0::2], ids[1::2] = table["u"], table["v"]
+        w = table["w"].copy()
     del table
     if ids.min() < 0:
         return None
     n = _relabel_by_first_appearance(ids)
-    ids = ids.reshape(-1, 2).T.copy()  # u and v as contiguous rows: Graph copies neither
+    ids = ids.reshape(-1, 2)  # Graph reads the columns as they lie
     try:
-        return Graph(n, ids[0], ids[1], w)
+        return Graph(n, ids[:, 0], ids[:, 1], w)
     except _EdgeError:
         return None
 
@@ -330,20 +345,36 @@ def _comments_start_lines(text: str) -> bool:
 
 
 def _relabel_by_first_appearance(ids: np.ndarray) -> int:
-    # overwrite the non-empty ``ids`` with dense labels numbered by first
-    # appearance; returns the number of distinct ids
-    order = np.argsort(ids)
-    sorted_ids = ids[order]
-    head = np.empty(ids.size, dtype=bool)  # first of a run of equal sorted ids
+    # overwrite the non-empty, non-negative ``ids`` with dense labels numbered
+    # by first appearance; returns the number of distinct ids.  Each id is
+    # packed with its position, id << bits | position, and the packed values
+    # are sorted in place: that orders the ids as a stable argsort would, and
+    # each id's run starts at its first appearance.  The packing needs ids
+    # below 2**(63 - bits); larger ones are first replaced by their codes in
+    # sorted order, which keep equality and first appearance (the codes fit
+    # while there are fewer than 2**31 ids)
+    size = ids.size
+    bits = (size - 1).bit_length()
+    if int(ids.max()) >> (63 - bits):
+        ids[:] = np.unique(ids, return_inverse=True)[1].reshape(-1)
+    ids <<= bits
+    ids |= np.arange(size)
+    ids.sort()
+    pos = ids & ((1 << bits) - 1)
+    ids >>= bits
+    head = np.empty(size, dtype=bool)  # first of a run of equal sorted ids
     head[0] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=head[1:])
-    del sorted_ids
-    starts = np.flatnonzero(head)
-    first_seen = np.minimum.reduceat(order, starts)
-    rank = np.empty(starts.size, dtype=np.int64)
-    rank[np.argsort(first_seen)] = np.arange(starts.size)
-    ids[order] = rank[np.cumsum(head) - 1]
-    return int(starts.size)
+    np.not_equal(ids[1:], ids[:-1], out=head[1:])
+    first_seen = pos[head]
+    rank = np.empty(first_seen.size, dtype=np.int64)
+    rank[np.argsort(first_seen)] = np.arange(first_seen.size)
+    group = np.cumsum(head, out=ids)  # sorted entry -> 1 + its run's number
+    group -= 1
+    labels = np.empty_like(ids)
+    labels[pos] = group
+    del pos, group
+    np.take(rank, labels, out=ids)
+    return int(first_seen.size)
 
 
 def _load_lines(data: bytes) -> Graph:

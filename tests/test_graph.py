@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,27 @@ def test_arrays_read_only():
 def test_rejects_malformed_graph_arrays(n, u, v, w, pattern):
     with pytest.raises(ValueError, match=pattern):
         Graph(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w))
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit weights", "weighted"])
+def test_construction_holds_little_beyond_what_it_keeps(unit):
+    # a 20-regular circulant: every key in the head, as on the bench file.
+    # Peak minus kept is what construction holds only while it runs; with
+    # unit weights the keys are sorted in place and formed into the kept
+    # arrays, and only a weighted graph forms their 16-byte-per-edge
+    # permutation
+    n, d = 10_000, 20
+    u = np.tile(np.arange(n), d // 2)
+    v = (u + np.repeat(np.arange(1, d // 2 + 1), n)) % n
+    w = np.ones(u.size) if unit else np.linspace(0.5, 2.0, u.size)
+    tracemalloc.start()
+    try:
+        g = Graph(n, u, v, w)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.head.shape == (d, n)
+    assert (peak - kept) / u.size <= (16 if unit else 32)
 
 
 def test_single_node_graph():
@@ -245,6 +267,8 @@ def test_load_errors_carry_line_numbers(tmp_path):
         (b"0 1\r\n1 2\r\n\r\n\xff\r\n", "^line 4: not valid UTF-8$"),
         (b"0 1\r\xff", "^line 2: not valid UTF-8$"),
         (b"\xff0 1\n", "^line 1: not valid UTF-8$"),
+        # a comment ends at a lone CR: line 3 is data, and its edge is checked
+        (b"0 1\n# c\r1 1\n", "^line 3: self-loop 1-1$"),
     ]
     for text, pattern in cases:
         p = tmp_path / "bad.txt"
@@ -298,6 +322,13 @@ LOADER_CASES = [
     ("comment ended by a lone CR", b"# c\r0 1\n1 2\n", True),
     ("2 and 3 columns", b"0 1\n1 2 3\n", False),
     ("id above 2**63", b"0 1\n1 9223372036854775808\n", False),
+    # ids at or above 2**(63 - bits) are replaced by their codes before the
+    # remap packs each id with its position; shifted by 3 bits unreplaced,
+    # 2**62 would wrap onto 0
+    ("ids 2**63 - 1 and 2**62",
+     b"9223372036854775807 4611686018427387904\n4611686018427387904 0\n"
+     b"0 9223372036854775807\n5 0\n", True),
+    ("ids repeat out of order", b"7 3\n3 9\n9 7\n3 1\n1 7\n12 9\n0 1\n", True),
     ("negative id", b"0 1\n-1 2\n", False),
     ("inline #", b"0 1\n1 2 # x\n", False),
     ("# glued to a weight", b"0 1 1\n1 2 3#\n", False),
