@@ -38,6 +38,7 @@ import numpy as np
 from .graph import Graph
 from .media import (MediaConfig, MediaSystem, equilibrium_with_media, opinion_vector,
                     source_opinions)
+from .numerics import dot
 
 __all__ = ["nonstubborn_equilibrium"]
 
@@ -58,6 +59,6 @@ def nonstubborn_equilibrium(graph: Graph, s: np.ndarray, config: MediaConfig,
     w = system.weight
     b = equilibrium_with_media(system, np.zeros(n), np.ones(n), tol=tol).solution
     s_M = source_opinions(s, config.gamma).z_M
-    z_M = (s_M + float(b @ s)) / (1.0 + float(w.sum()) - float(w @ b))
+    z_M = (s_M + dot(b, s)) / (1.0 + float(w.sum()) - dot(w, b))
     z = equilibrium_with_media(system, s, np.full(n, z_M), tol=tol).solution
     return z, z_M

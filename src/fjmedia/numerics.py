@@ -205,7 +205,7 @@ def solve_spd(op: DiagPlusLaplacianOperator, rhs: np.ndarray,
         k = 1 - math.frexp(b_max)[1] if math.isfinite(b_max) else 0
         if k:
             b = np.ldexp(b, k)
-        b_norm = float(np.linalg.norm(b))
+        b_norm = math.sqrt(dot(b, b))
         rhs_norm = float(np.ldexp(b_norm, -k))
         if not math.isfinite(rhs_norm):
             raise ValueError(f"conjugate gradient cannot start: ||b||_2 is {rhs_norm} at "
@@ -237,15 +237,15 @@ def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float
     r = b.copy()
     p = inv_diag * r
     z, ap, work = np.empty(n), np.empty(n), np.empty(n)
-    rz = _finite("r.z", float(r @ p), 0)
+    rz = _finite("r.z", dot(r, p, work), 0)
     for k in range(1, max_iter + 1):
         op.apply(p, out=ap)
-        alpha = rz / _finite("p.Ap", float(p @ ap), k)
+        alpha = rz / _finite("p.Ap", dot(p, ap, work), k)
         x += np.multiply(alpha, p, out=work)
         r -= np.multiply(alpha, ap, out=work)
-        r_norm = math.sqrt(_finite("r.r", float(r @ r), k))
+        r_norm = math.sqrt(_finite("r.r", dot(r, r, work), k))
         # an inf or nan here only ever blocks the certified stop
-        step = abs(alpha) * (math.sqrt(float(p @ p)) + tiny)
+        step = abs(alpha) * (math.sqrt(dot(p, p, work)) + tiny)
         x_bound += step
         gap += (step_err * step + c_a * _U * x_bound + _U * r_norm
                 + under + under_alpha * abs(alpha))
@@ -256,7 +256,7 @@ def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float
                 return SolveReport(x, k, bound, b_norm, certified=True)
             # the bound is too loose to decide: measure the true residual
             op.apply(x, out=ap)
-            res_norm = float(np.linalg.norm(np.subtract(ap, b, out=work)))
+            res_norm = _norm(np.subtract(ap, b, out=work))
             true_res = _finite("the residual", res_norm / b_norm, k)
             if true_res <= tol:
                 return SolveReport(x, k, true_res, b_norm)
@@ -269,21 +269,39 @@ def _pcg(op: DiagPlusLaplacianOperator, b: np.ndarray, b_norm: float, tol: float
             np.subtract(b, ap, out=r)  # ap still holds A x
             gap = _U * res_norm + apply_err * x_bound + 2.0 * tiny
             np.multiply(inv_diag, r, out=p)
-            rz = _finite("r.z", float(r @ p), k)
+            rz = _finite("r.z", dot(r, p, work), k)
             continue
         np.multiply(inv_diag, r, out=z)
-        rz_new = _finite("r.z", float(r @ z), k)
+        rz_new = _finite("r.z", dot(r, z, work), k)
         p *= rz_new / rz  # then z + p, the same sum as z + (rz_new / rz) * p
         p += z
         rz = rz_new
     op.apply(x, out=ap)
-    final = float(np.linalg.norm(np.subtract(ap, b, out=work))) / b_norm
+    final = _norm(np.subtract(ap, b, out=work)) / b_norm
     raise ConvergenceError(
         f"conjugate gradient did not reach tol={tol:g} in {max_iter} iterations "
         f"(residual {final:.3e})",
         iterations=max_iter,
         residual=final,
     )
+
+
+def dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
+    """The dot product of two float64 vectors, summed in a fixed order.
+
+    ``a @ b`` goes to BLAS, which may split a long sum between threads, so
+    its rounding can follow the machine's thread count.  numpy's pairwise
+    ``add.reduce`` sums in an order set by the length alone, so every
+    output byte derived from a solve is the same on any machine with the
+    same numpy.  The products are written into ``out`` when given; it may
+    be ``a`` or ``b``.
+    """
+    return float(np.add.reduce(np.multiply(a, b, out=out)))
+
+
+def _norm(v: np.ndarray) -> float:
+    # ||v||_2 as np.linalg.norm forms it, sqrt(v . v); squares v in place
+    return math.sqrt(dot(v, v, v))
 
 
 def _gamma(m: int) -> float:

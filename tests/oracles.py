@@ -96,34 +96,40 @@ def plain_cg(op, b, tol):
     """Unpreconditioned conjugate gradient on ``op.apply(x) = b``, the loop
     ``solve_spd`` ran before it gained its Jacobi step; returns
     (x, iterations).  On a constant operator diagonal ``solve_spd`` must
-    reproduce it bit for bit."""
+    reproduce it bit for bit.  Its dot products are summed as ``solve_spd``
+    sums them, by numpy's pairwise ``add.reduce``, not by BLAS."""
     b = np.asarray(b, dtype=np.float64).ravel()
     n = b.size
     max_iter = 10 * n
-    b_norm = float(np.linalg.norm(b))
+    b_norm = np.sqrt(_dot(b, b))
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
-    rs = float(r @ r)
+    rs = _dot(r, r)
     for k in range(1, max_iter + 1):
         ap = op.apply(p)
-        alpha = rs / float(p @ ap)
+        alpha = rs / _dot(p, ap)
         x += alpha * p
         r -= alpha * ap
-        rs_new = float(r @ r)
+        rs_new = _dot(r, r)
         if np.sqrt(rs_new) <= tol * b_norm:
             # the recursion residual drifts from the true one; trust but verify
-            true_res = float(np.linalg.norm(op.apply(x) - b)) / b_norm
+            res = op.apply(x) - b
+            true_res = np.sqrt(_dot(res, res)) / b_norm
             if true_res <= tol:
                 return x, k
             r = b - op.apply(x)
-            rs_new = float(r @ r)
+            rs_new = _dot(r, r)
             p = r.copy()
             rs = rs_new
             continue
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise AssertionError(f"plain CG did not reach tol={tol:g} in {max_iter} iterations")
+
+
+def _dot(a, b):
+    return float(np.add.reduce(a * b))
 
 
 def barabasi_albert_urn(n, m, seed):

@@ -347,19 +347,35 @@ def test_tiny_innate_opinions_keep_their_sum(tmp_path, capsys):
 # module entry point
 
 
-def _run_module(*argv, timeout=None):
-    # the child imports the same fjmedia as this process, installed or not
+def _run_module(*argv, timeout=None, **env):
+    # the child imports the same fjmedia as this process, installed or not,
+    # with ``env`` added to its environment
     src = str(Path(fjmedia.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "fjmedia", *argv], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
+        env={**os.environ, "PYTHONPATH": path, **env}, timeout=timeout)
 
 
 def test_module_invocation():
     proc = _run_module("generate", "--gen", "dreg", "--n", "6", "--d", "2", "--seed", "0")
     assert proc.returncode == 0
     assert proc.stdout.startswith("# fjmedia generate:")
+
+
+def test_output_bytes_do_not_follow_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product this long between its threads, and the
+    # split changes the rounding; the solves sum every dot product in
+    # numpy's own fixed order instead
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"ns-{threads}.csv"
+        proc = _run_module("nonstubborn", "--gen", "ba", "--n", "20000", "--m", "3",
+                           "--beta", "0.5", "--gamma", "0.05", "--reps", "2", "--seed", "0",
+                           "--out", str(out), timeout=120, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_huge_media_strength_is_solved_to_its_exact_sum(tmp_path):

@@ -203,13 +203,15 @@ def test_rhs_norm_is_the_two_norm_of_the_given_rhs():
     g = gen_barabasi_albert(60, 2, seed=3)
     op = DiagPlusLaplacianOperator(g, np.full(g.n, 0.5))
     b = np.random.default_rng(8).uniform(0.0, 1.0, g.n)
-    assert solve_spd(op, b).rhs_norm == float(np.linalg.norm(b))
+    # summed in numpy's pairwise order, as every dot product of the solve
+    assert solve_spd(op, b).rhs_norm == math.sqrt(np.add.reduce(b * b))
+    assert solve_spd(op, b).rhs_norm == pytest.approx(np.linalg.norm(b), rel=1e-15)
     # far below 1 the solve runs on a power-of-two multiple of b; the norm
     # comes back to the bit
     small = np.ldexp(b, -501)
     assert np.abs(small).max() < 2.0 ** -500
     rhs_norm = solve_spd(op, small).rhs_norm
-    assert rhs_norm > 0.0 and rhs_norm == float(np.linalg.norm(small))
+    assert rhs_norm > 0.0 and rhs_norm == math.ldexp(math.sqrt(np.add.reduce(b * b)), -501)
     assert solve_spd(op, np.zeros(g.n)).rhs_norm == 0.0
 
 
