@@ -22,7 +22,7 @@ from .harness import (CSV_COLUMNS, ExperimentConfig, GraphSpec, MODES,
                       RunManifest, config_from_manifest, rows_to_csv,
                       run_experiment, sample_innate)
 
-__version__ = "0.1.13"
+__version__ = "0.1.14"
 
 __all__ = [
     "Graph", "GraphStats", "gen_barabasi_albert", "gen_random_regular",
