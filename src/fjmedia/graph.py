@@ -124,13 +124,14 @@ class Graph:
         keys[:m] += v
         keys[m:] += u
         unit = bool(np.all(w == 1.0))
-        order = None if unit else np.argsort(keys)
+        order = None
+        if not unit:
+            order = np.argsort(keys)
+            order %= m  # directed key k came from edge k mod m
         keys.sort()
         if np.any(keys[1:] == keys[:-1]):
             raise _first_bad_edge(n, u, v, w)
         keys %= n  # now the neighbour ids
-        if order is not None:
-            order %= m  # directed key k came from edge k mod m
         # row i starts at sorted position row_start[i]; its first K entries
         # go to the head, the rest to the tail.  The head is filled a row at
         # a time: one (K, n) index array would raise peak memory by up to
@@ -368,11 +369,11 @@ def _relabel_by_first_appearance(ids: np.ndarray) -> int:
     first_seen = pos[head]
     rank = np.empty(first_seen.size, dtype=np.int64)
     rank[np.argsort(first_seen)] = np.arange(first_seen.size)
-    group = np.cumsum(head, out=ids)  # sorted entry -> 1 + its run's number
-    group -= 1
+    np.cumsum(head, out=ids)  # sorted entry -> 1 + the number of its run
+    ids -= 1
     labels = np.empty_like(ids)
-    labels[pos] = group
-    del pos, group
+    labels[pos] = ids
+    del pos
     np.take(rank, labels, out=ids)
     return int(first_seen.size)
 
