@@ -241,6 +241,12 @@ def equilibrium_with_media(system: MediaSystem, s: np.ndarray, zeta: np.ndarray,
     return solve_spd(system.op, s + system.weight * zeta, tol=tol)
 
 
+def regular_rise(d: float, config: MediaConfig) -> float:
+    """F - 1, the rise of sum(z) per period on a d-regular graph; F is formed only here."""
+    alpha, beta, gamma = config.alpha, config.beta, config.gamma
+    return gamma * beta * (d + 1.0) * (2.0 * alpha - 1.0) / (beta * (d + 1.0) + 1.0)
+
+
 def sum_bounds(graph: Graph, s: np.ndarray, config: MediaConfig) -> SumBounds:
     """Two-sided bracket for sum of the media-augmented equilibrium.
 
@@ -260,11 +266,7 @@ def sum_bounds(graph: Graph, s: np.ndarray, config: MediaConfig) -> SumBounds:
     swing = (2.0 * alpha - 1.0) * gamma + 1.0
     lower = (1.0 + (stats.d_min + 1.0) * beta * swing) / (beta * (stats.d_max + 1.0) + 1.0) * sum_s
     upper = (1.0 + (stats.d_max + 1.0) * beta * swing) / (beta * (stats.d_min + 1.0) + 1.0) * sum_s
-    exact = None
-    if stats.is_regular:
-        d = stats.d_max
-        exact = (1.0 + gamma * beta * (d + 1.0) * (2.0 * alpha - 1.0)
-                 / (beta * (d + 1.0) + 1.0)) * sum_s
+    exact = (1.0 + regular_rise(stats.d_max, config)) * sum_s if stats.is_regular else None
     if not (math.isfinite(lower) and math.isfinite(upper)):  # exact is at most 2 sum_s
         raise ValueError(f"beta {beta:g} is too large: the sum bounds overflow")
     return SumBounds(lower=lower, upper=upper, exact_if_regular=exact)

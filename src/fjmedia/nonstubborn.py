@@ -20,15 +20,15 @@ source row:
     (1 + sum(w)) z_M - w^T z = s_M       (source row)
 
 Substituting z = A^{-1} s + z_M b with b = A^{-1} w, and using that A is
-symmetric (w^T A^{-1} s = b^T s), gives
+symmetric (w^T A^{-1} s = b^T s), gives z_M = (s_M + b^T s) / (1 + sum(w) -
+w^T b).  A 1 = 1 + w, so (1 + w)^T b = 1^T A b = sum(w): the denominator is
+exactly 1 + sum(b), a sum of non-negative terms that no beta cancels, and
 
-    z_M = (s_M + b^T s) / (1 + sum(w) - w^T b)
+    z_M = (s_M + b^T s) / (1 + sum(b))
 
-so two solves of the stubborn media operator give the equilibrium: b, then z
-with every node's source opinion set to z_M.  L is positive semidefinite, so
-A dominates I + diag(w) and w^T A^{-1} w <= sum(w^2 / (1 + w)); the
-denominator is therefore at least 1 + sum(w / (1 + w)), which is > 1 for
-beta > 0.  At beta = 0, b = 0 and z_M = s_M exactly, with no branch.
+Two solves of the stubborn media operator give the equilibrium: b, then z
+with every source opinion z_M.  As beta grows, b tends to 1 and z to the
+consensus (sum(s) + s_M) / (n + 1); at beta = 0, b = 0 and z_M = s_M.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .graph import Graph
 from .media import (MediaConfig, MediaSystem, equilibrium_with_media, opinion_vector,
                     source_opinions)
-from .numerics import dot
+from .numerics import dot, solve_spd
 
 __all__ = ["nonstubborn_equilibrium"]
 
@@ -47,18 +47,16 @@ def nonstubborn_equilibrium(graph: Graph, s: np.ndarray, config: MediaConfig,
                             tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Equilibrium with one non-stubborn source; returns (node opinions, z_M*).
 
-    Eliminates the source node and solves the stubborn media operator twice
-    (see the module docstring).  Rejects alpha != 1: the single-source
-    analysis assumes everyone listens to M.
+    Eliminates the source node and solves the stubborn media operator twice,
+    dividing by 1 + sum(b) (see the module docstring).  Rejects alpha != 1:
+    the single-source analysis assumes everyone listens to M.
     """
     if config.alpha != 1.0:
         raise ValueError("non-stubborn mode requires alpha = 1")
     s = opinion_vector(s, graph.n)
-    n = graph.n
     system = MediaSystem(graph, config.beta)
-    w = system.weight
-    b = equilibrium_with_media(system, np.zeros(n), np.ones(n), tol=tol).solution
+    b = solve_spd(system.op, system.weight, tol=tol).solution
     s_M = source_opinions(s, config.gamma).z_M
-    z_M = (s_M + dot(b, s)) / (1.0 + float(w.sum()) - dot(w, b))
-    z = equilibrium_with_media(system, s, np.full(n, z_M), tol=tol).solution
+    z_M = (s_M + dot(b, s)) / (1.0 + float(b.sum()))
+    z = equilibrium_with_media(system, s, np.full(graph.n, z_M), tol=tol).solution
     return z, z_M

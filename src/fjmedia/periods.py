@@ -17,8 +17,8 @@ import numpy as np
 
 from .graph import Graph
 from .media import (MediaAssignment, MediaConfig, MediaSystem, build_zeta,
-                    equilibrium_with_media, opinion_vector, source_opinions,
-                    sum_bounds, truncated_regular_sum)
+                    equilibrium_with_media, opinion_vector, regular_rise,
+                    source_opinions, sum_bounds, truncated_regular_sum)
 from .numerics import ConvergenceError, solve_spd
 
 __all__ = [
@@ -173,26 +173,26 @@ def ell_star(n: int, sum_s0: float, d: float, config: MediaConfig) -> float:
     """Periods until z_M saturates, on a d-regular graph with alpha > 1/2.
 
     Solves (1+gamma) * F^ell * sum_s0 / n = 1 for the per-period growth
-    factor F = 1 + gamma (d+1) beta (2 alpha - 1) / ((d+1) beta + 1):
+    factor F = 1 + rise (:func:`media.regular_rise`), as
 
-        ell* = log(n / (sum_s0 (1+gamma)))
-               / log(1 + gamma (d+1) beta (2 alpha - 1) / ((d+1) beta + 1))
+        ell* = log(n / (sum_s0 (1+gamma))) / log1p(rise)
 
-    Returns 0 when the start already sits on the ceiling.  Rejects alpha <=
-    1/2, a growth factor F that rounds to 1 (no finite crossing), sum_s0 <= 0,
-    and a start already past the ceiling.
+    which keeps every digit of a small rise that log(F) would round away.
+    Returns 0 when the start already sits on the ceiling.  Rejects a rise
+    that is not > 0 (alpha <= 1/2, beta or gamma 0, or an underflow),
+    sum_s0 <= 0, a start past the ceiling, and an ell* past the float range.
     """
-    if config.alpha <= 0.5:
-        raise ValueError("ell_star needs alpha > 1/2 (no growth otherwise)")
-    b = (d + 1.0) * config.beta
-    growth = 1.0 + config.gamma * b * (2.0 * config.alpha - 1.0) / (b + 1.0)
-    if growth <= 1.0:  # beta or gamma is 0, or the rise is below float resolution
-        raise ValueError("ell_star needs beta > 0, gamma > 0 and a growth factor > 1")
+    rise = regular_rise(d, config)
+    if not rise > 0.0:
+        raise ValueError(f"ell_star needs a growth factor above 1, got F - 1 = {rise:g}")
     if sum_s0 <= 0.0:
         raise ValueError("ell_star needs sum_s0 > 0")
     if (1.0 + config.gamma) * sum_s0 / n > 1.0:
         raise ValueError("start is already truncated")
-    return math.log(n / (sum_s0 * (1.0 + config.gamma))) / math.log(growth)
+    ell = math.log(n / (sum_s0 * (1.0 + config.gamma))) / math.log1p(rise)
+    if not math.isfinite(ell):
+        raise ValueError(f"ell_star overflows: F - 1 = {rise:g} is too small")
+    return ell
 
 
 def analytic_summary(graph: Graph, s: np.ndarray, config: MediaConfig,

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import fjmedia
-from fjmedia import ExperimentConfig, GraphSpec, load_edge_list, run_experiment
+from fjmedia import (ExperimentConfig, GraphSpec, config_from_manifest, load_edge_list,
+                     run_experiment)
 from fjmedia.cli import main
 
 
@@ -124,6 +125,56 @@ def test_bounds_ell_star_predicts_periods_at_non_integral_alpha_n(tmp_path, caps
     for rep, row in last.items():
         assert row["stop_cause"] == "radicalized_up"
         assert int(row["period"]) - math.ceil(ell[rep]) in (0, 1), (rep, ell[rep])
+
+
+def test_bounds_ell_star_at_a_small_rise(tmp_path, capsys):
+    # F - 1 = 5e-14: log of the rounded F gave 9275865485469.1289, wrong in the
+    # 4th digit; log1p of the rise gives the 60-digit decimal value
+    out = tmp_path / "b.csv"
+    assert run_cli(capsys, "bounds", "--gen", "dreg", "--n", "50", "--d", "4", "--alpha", "1",
+                   "--beta", "1e-7", "--gamma", "1e-7", "--reps", "1",
+                   "--out", str(out))[0] == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert float(row["ell_star"]) == pytest.approx(9268456125990.0173, rel=1e-15)
+
+
+# the denominator 1 + sum(w) - w^T b cancelled: to exactly 0 at 1e16 (a
+# ZeroDivisionError escaped main) and to sum_z = z_M_star = 0 at 1e300
+@pytest.mark.parametrize("graph, beta", [(["dreg", "--n", "2", "--d", "0"], "1e300"),
+                                         (["ba", "--n", "300", "--m", "3"], "1e16"),
+                                         (["ba", "--n", "300", "--m", "3"], "1e300")],
+                         ids=["dreg-1e300", "ba-1e16", "ba-1e300"])
+def test_nonstubborn_at_a_huge_beta_gives_the_consensus(tmp_path, capsys, graph, beta):
+    # as beta grows, every node and the source agree on (sum(s) + s_M) / (n + 1)
+    out = tmp_path / "ns.csv"
+    code, _, err = run_cli(capsys, "nonstubborn", "--gen", *graph, "--beta", beta,
+                           "--gamma", "0.1", "--reps", "1", "--seed", "0", "--out", str(out))
+    assert code == 0, err
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    n = int(graph[2])
+    consensus = (float(row["sum_s"]) + float(row["s_M"])) / (n + 1)
+    assert float(row["z_M_star"]) == pytest.approx(consensus, abs=1e-12)
+    assert float(row["mean_z"]) == pytest.approx(consensus, abs=1e-12)
+    assert float(row["sum_z"]) == pytest.approx(n * consensus, rel=1e-12)
+
+
+# command lines on which an exception escaped main, found by
+# tests/test_properties.py::test_a_command_line_exits_cleanly_or_with_an_error_line
+FOUND_COMMAND_LINES = [
+    # 0.1.14: at s = 0, 1 + sum(w) - w^T b cancelled to 0 and z_M* was 0 / 0
+    "nonstubborn --gen dreg --n 2 --d 0 --alpha 1.0 --beta 1e+19 --gamma 0.0 --tol 0.001 "
+    "--innate-mu 0.0 --innate-var 0.0 --reps 1 --seed 0",
+]
+
+
+@pytest.mark.parametrize("argv", FOUND_COMMAND_LINES)
+def test_a_found_command_line_exits_cleanly_and_reruns(tmp_path, capsys, argv):
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    code, _, err = run_cli(capsys, *argv.split(), "--out", str(first))
+    assert code == 0, err
+    manifest = Path(f"{first}.manifest").read_text(encoding="utf-8")
+    run_experiment(config_from_manifest(manifest, output=str(again)))
+    assert again.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("graph, regular", [(["ba", "--n", "300", "--m", "3"], False),

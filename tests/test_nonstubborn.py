@@ -131,6 +131,18 @@ def test_matches_dense_oracle_on_augmented_graph(beta):
         assert np.max(np.abs(np.append(z, z_M) - np.append(want_z, want_M))) <= 1e-8
 
 
+@pytest.mark.parametrize("beta", [1e16, 1e300])
+def test_huge_beta_gives_the_consensus_on_every_node(beta):
+    # b = A^-1 w tends to 1, and every node and the source to (sum(s) + s_M) / (n + 1);
+    # the old denominator 1 + sum(w) - w^T b lost every digit to cancellation
+    g = gen_barabasi_albert(300, 3, seed=0)
+    s = np.clip(np.random.default_rng(1).normal(0.5, 0.45, 300), 0.0, 1.0)
+    z, z_M = nonstubborn_equilibrium(g, s, MediaConfig(1.0, beta, 0.1))
+    consensus = (s.sum() + source_opinions(s, 0.1).z_M) / 301
+    assert np.max(np.abs(z - consensus)) <= 1e-12
+    assert abs(z_M - consensus) <= 1e-12
+
+
 def test_source_innate_caps_at_one():
     g = gen_random_regular(10, 4, seed=3)
     s = np.full(10, 0.999)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 from dataclasses import replace
@@ -302,6 +303,28 @@ def test_ell_star_boundary_is_zero():
     assert ell_star(100, 80.0, 4, config) == 0.0
 
 
+def decimal_ell_star(n, sum_s0, d, config):
+    """ell* in 60-digit decimal arithmetic from the exact values of its inputs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        alpha, beta, gamma = (decimal.Decimal(v) for v in
+                              (config.alpha, config.beta, config.gamma))
+        b = (decimal.Decimal(d) + 1) * beta
+        growth = 1 + gamma * b * (2 * alpha - 1) / (b + 1)
+        return (decimal.Decimal(n) / (decimal.Decimal(sum_s0) * (1 + gamma))).ln() / growth.ln()
+
+
+# (beta, gamma); log(F) with F = 1 + rise rounded loses the rise's digits as it
+# shrinks: relative error 4.4e-14, 1.6e-9, 5.1e-6 and 8.0e-4 on the first
+# four, and F rounds to 1 on the last, where ell* is 1.386294361613037698e19
+@pytest.mark.parametrize("beta, gamma", [(0.025, 0.01), (1e-4, 1e-4), (1e-6, 1e-6),
+                                         (1e-7, 1e-7), (1e-10, 1e-10)])
+def test_ell_star_matches_a_decimal_reference(beta, gamma):
+    config = MediaConfig(alpha=1.0, beta=beta, gamma=gamma)
+    want = decimal_ell_star(100, 50.0, 4, config)
+    assert ell_star(100, 50.0, 4, config) == pytest.approx(float(want), rel=1e-15)
+
+
 def test_ell_star_rejections():
     with pytest.raises(ValueError):
         ell_star(100, 50.0, 4, MediaConfig(alpha=0.5, beta=0.5, gamma=0.1))
@@ -309,9 +332,12 @@ def test_ell_star_rejections():
         ell_star(100, 50.0, 4, MediaConfig(alpha=1.0, beta=0.0, gamma=0.1))
     with pytest.raises(ValueError):
         ell_star(100, 50.0, 4, MediaConfig(alpha=1.0, beta=0.5, gamma=0.0))
-    with pytest.raises(ValueError):
-        # F = 1 + 5e-20 rounds to 1: no finite crossing, not a division by 0
-        ell_star(100, 50.0, 4, MediaConfig(alpha=1.0, beta=1e-10, gamma=1e-10))
+    with pytest.raises(ValueError, match="growth factor above 1"):
+        # F - 1 = 5e-400 underflows to 0: no finite crossing, not a division by 0
+        ell_star(100, 50.0, 4, MediaConfig(alpha=1.0, beta=1e-200, gamma=1e-200))
+    with pytest.raises(ValueError, match="ell_star overflows"):
+        # F - 1 = 5e-320 is subnormal, and ell* = log(2) / 5e-320 is past the float range
+        ell_star(100, 50.0, 4, MediaConfig(alpha=1.0, beta=1e-160, gamma=1e-160))
     with pytest.raises(ValueError):
         ell_star(100, 0.0, 4, MediaConfig(alpha=1.0, beta=0.5, gamma=0.1))
     with pytest.raises(ValueError):

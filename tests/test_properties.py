@@ -9,22 +9,33 @@ its physical line.  The closed-form columns of an equilibrium row must hold
 against its solved sum at any alpha, and moving nodes from M' to M must never
 lower an equilibrium opinion.  The preferential-attachment generator must
 give the urn loop's edges for any size and seed, however its blocks fall.
+Both solve modes must meet their proven error bounds against exact
+references for every beta from 0 to 1e300, and every command line must exit
+0 with files a rerun reproduces, or exit 2 with an error line.
 """
 
+import io
+import math
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fjmedia import (ExperimentConfig, Graph, GraphSpec, MediaAssignment,
-                     MediaConfig, MediaSystem, build_zeta, equilibrium_with_media,
-                     gen_barabasi_albert, gen_random_regular, load_edge_list,
-                     nonstubborn_equilibrium, run_experiment, source_opinions,
-                     sum_bounds, write_edge_list)
+                     MediaConfig, MediaSystem, assign_media, build_zeta,
+                     config_from_manifest, equilibrium_with_media, gen_barabasi_albert,
+                     gen_random_regular, load_edge_list, nonstubborn_equilibrium,
+                     run_experiment, sample_innate, source_opinions, sum_bounds,
+                     write_edge_list)
+from fjmedia.cli import main
 import fjmedia.graph as graph_module
-from oracles import barabasi_albert_urn, edge_tuples
+from oracles import (adjacency, barabasi_albert_urn, edge_tuples, jacobi_solve,
+                     laplacian, mmatrix_solve)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -307,3 +318,229 @@ def test_ba_generator_replays_the_urn_loop(case, block_words, max_block_words):
     targets, sources = barabasi_albert_urn(n, m, seed)
     assert g.edge_u.tolist() == targets
     assert g.edge_v.tolist() == sources
+
+
+# ---------------------------------------------------------------------------
+# solves against exact references, over the whole parameter range
+
+U = 2.0 ** -53  # the unit roundoff of float64
+
+
+def gamma_m(m):
+    """The relative error bound of m roundings."""
+    return m * U / (1.0 - m * U)
+
+
+@st.composite
+def solve_instances(draw):
+    """A d-regular or BA graph on 1..40 nodes, clipped innate opinions, a beta
+    log-uniform over [1e-300, 1e300] or exactly 0 (or, on a graph with an
+    edge, one for which beta * (1 + d_max) overflows), a tol log-uniform over
+    [1e-13, 1e-3] and a seed."""
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32))
+    if n == 1 or draw(st.booleans()):
+        d = draw(st.integers(0, n - 1))
+        g = gen_random_regular(n, d - (n * d) % 2, seed)
+    else:
+        g = gen_barabasi_albert(n, draw(st.integers(1, min(n - 1, 6))), seed)
+    s = sample_innate(n, draw(unit), draw(unit), seed)
+    d_max = g.stats.d_max
+    branch = draw(st.sampled_from(["zero", "log", "overflow"] if d_max else ["zero", "log"]))
+    if branch == "zero":
+        beta = 0.0
+    elif branch == "log":
+        beta = 10.0 ** draw(st.floats(-300.0, 300.0))
+    else:
+        beta = draw(st.floats(1.0001, 2.0)) * (sys.float_info.max / (1.0 + d_max))
+    tol = 10.0 ** draw(st.floats(-13.0, -3.0))
+    return g, s, beta, tol, seed
+
+
+def norm(v):
+    """||v||_2, formed on v scaled by a power of two so that no square
+    overflows: at beta = 1e300 the right-hand sides hold entries near 1e301."""
+    v = np.asarray(v, dtype=np.float64)
+    top = float(np.abs(v).max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    k = math.frexp(top)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -k))), k)
+
+
+ends = st.one_of(st.sampled_from([0.0, 1.0]), unit)  # alpha and gamma, endpoints drawn often
+WEIGHT_OVERFLOWS = r"beta \* \(1 \+ d_max\) overflows"
+
+
+def apply_error(op):
+    """What rounding adds to ||A x - b|| per unit of ||x||: fl(A x)'s error,
+    gamma_{K+3} c_A (``numerics`` docstring), plus u max(g) for the diagonal
+    g = fl(1 + w) in place of 1 + w."""
+    return gamma_m(op.graph.longest_row + 3) * op.abs_norm + U * float(op.gamma_diag.max())
+
+
+def solve_error(op, rhs_norm, x_norm, tol):
+    """A bound on ||x - A^-1 b||_2 for a solve that met tol: the measured
+    residual, inflated by its own rounding, plus the apply's, over the
+    smallest eigenvalue of A = diag(g) + L, which is at least min(g)."""
+    n = op.graph.n
+    return (((1.0 + gamma_m(3 * n + 5)) * tol * rhs_norm + apply_error(op) * x_norm)
+            / float(op.gamma_diag.min()))
+
+
+@SETTINGS
+@given(solve_instances(), ends, ends)
+def test_media_equilibrium_is_right_over_the_whole_range(inst, alpha, gamma):
+    g, s, beta, tol, seed = inst
+    if not math.isfinite(beta * (1.0 + g.stats.d_max)):
+        with pytest.raises(ValueError, match=WEIGHT_OVERFLOWS):
+            MediaSystem(g, beta)
+        return
+    system = MediaSystem(g, beta)
+    src = source_opinions(s, gamma)
+    zeta = build_zeta(assign_media(g, alpha, seed), src.z_M, src.z_Mprime)
+    report = equilibrium_with_media(system, s, zeta, tol=tol)
+
+    rhs = s + system.weight * zeta
+    A = np.diag(system.op.gamma_diag) + laplacian(g)
+    want = jacobi_solve(A, rhs)
+    # the reference's own error: its residual, and that residual's rounding
+    want_error = ((norm(A @ want - rhs)
+                   + gamma_m(g.n + 2) * norm(np.abs(A) @ np.abs(want) + np.abs(rhs)))
+                  / float(system.op.gamma_diag.min()))
+    z = report.solution
+    bound = solve_error(system.op, report.rhs_norm, norm(z), tol)
+    assert norm(z - want) <= bound + want_error
+
+
+@SETTINGS
+@given(solve_instances(), ends)
+# found on 0.1.14, whose denominator 1 + sum(w) - w^T b cancelled: z_M* off by
+# 0.126, and 0 / 0
+@example((gen_random_regular(1, 0, 0), np.array([0.125]), 1e21, 1e-3, 0), 0.0)
+@example((gen_random_regular(1, 0, 0), np.array([0.0]), 1e16, 1e-3, 0), 0.0)
+def test_nonstubborn_equilibrium_is_right_over_the_whole_range(inst, gamma):
+    g, s, beta, tol, _ = inst
+    config = MediaConfig(alpha=1.0, beta=beta, gamma=gamma)
+    if not math.isfinite(beta * (1.0 + g.stats.d_max)):
+        with pytest.raises(ValueError, match=WEIGHT_OVERFLOWS):
+            nonstubborn_equilibrium(g, s, config, tol=tol)
+        return
+    z, z_M = nonstubborn_equilibrium(g, s, config, tol=tol)
+
+    n = g.n
+    system = MediaSystem(g, beta)
+    op, w = system.op, system.weight
+    s_M = source_opinions(s, gamma).z_M
+    # the augmented FJ system: node n is the source, on edges of weight w
+    W = np.zeros((n + 1, n + 1))
+    W[:n, :n] = adjacency(g)
+    W[:n, n] = W[n, :n] = w
+    want = mmatrix_solve(W, np.ones(n + 1), np.append(s, s_M))
+    want_error = gamma_m(2 * (n + 1) * (n + 4)) * np.abs(want) + 2.0 ** -1000
+
+    # b = A^-1 w lies in [0, 1], as A 1 = 1 + w, so ||b|| <= sqrt(n); solving
+    # eps_b <= (tol ||w|| + apply (sqrt(n) + eps_b)) / min(g) for eps_b
+    lam, apply = float(op.gamma_diag.min()), apply_error(op)
+    eps_b = (((1.0 + gamma_m(3 * n + 5)) * tol * norm(w) + apply * math.sqrt(n))
+             / (lam - apply))
+    # z_M = (s_M + b^T s) / (1 + sum(b)), with 1 + sum(b) >= 1
+    sum_s = float(s.sum())
+    num_error = norm(s) * eps_b + gamma_m(n + 1) * (s_M + (1.0 + eps_b) * sum_s)
+    den_error = math.sqrt(n) * eps_b + gamma_m(n + 1) * (1.0 + n * (1.0 + eps_b))
+    z_M_error = (num_error + z_M * den_error) * (1.0 + gamma_m(2)) + U * z_M
+    assert abs(z_M - want[n]) <= z_M_error + want_error[n]
+
+    # z solves A z = s + w z_M for the computed z_M: its rounding, the
+    # solve, and z_M's error carried by b
+    rhs = s + w * z_M
+    rhs_norm = float(norm(rhs))
+    bound = (solve_error(op, rhs_norm, norm(z), tol) + gamma_m(3) * rhs_norm / lam
+             + math.sqrt(n) * z_M_error)
+    assert norm(z - want[:n]) <= bound + norm(want_error[:n])
+
+
+# ---------------------------------------------------------------------------
+# the command line: a run exits 0 with files a rerun reproduces, or exits 2
+# with an error line
+
+EDGE_VALUES = ["0", "1", "1e-300", "1e300", "nan", "inf", "-1e-3"]
+
+
+def value(typical):
+    """A flag's value: one draw in 16 an edge value, else a typical one."""
+    return st.sampled_from(range(16)).flatmap(
+        lambda k: st.sampled_from(EDGE_VALUES) if k == 15 else typical.map(str))
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: repr(10.0 ** e))
+
+
+@st.composite
+def command_lines(draw):
+    """argv from the flag grammar: every subcommand, a generated graph of at
+    most 40 nodes, each flag present or not, and at most 20 periods."""
+    mode = draw(st.sampled_from(["generate", "equilibrium", "periods", "nonstubborn",
+                                 "bounds"]))
+    kind = draw(st.sampled_from(["dreg", "ba"]))
+    # an even n: a d-regular graph needs n * d even
+    argv = [mode, "--gen", kind, "--n", draw(value(st.integers(1, 20).map(lambda k: 2 * k))),
+            "--d" if kind == "dreg" else "--m",
+            draw(value(st.integers(0 if kind == "dreg" else 1, 6)))]
+    seed = value(st.integers(0, 2**32))
+    if mode == "generate":
+        flags = {"--seed": seed}
+    else:
+        fraction = value(unit)
+        flags = {"--alpha": value(st.just(1.0)) if mode == "nonstubborn" else fraction,
+                 "--beta": value(st.one_of(
+                     st.floats(0.0, 2.0), log_uniform(-300.0, 300.0))),
+                 "--gamma": fraction, "--tol": value(log_uniform(-13.0, -3.0)),
+                 "--innate-mu": fraction, "--innate-var": fraction,
+                 "--reps": value(st.integers(1, 3)), "--seed": seed}
+        if mode == "periods":
+            argv += ["--max-periods", draw(value(st.integers(1, 20)).filter(
+                lambda v: v not in ("1e300", "inf", "nan")))]
+            flags["--epsilon"] = value(st.floats(0.0, 1.0))
+    for flag, values in flags.items():
+        # a flag left out takes its default, or is one more way to exit 2
+        if draw(st.sampled_from(range(24))) < 23:
+            argv += [flag, draw(values)]
+    return argv
+
+
+def run_main(argv):
+    """(exit status, stdout, stderr) of ``cli.main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("runs")
+
+
+@settings(SETTINGS, max_examples=200)
+@given(command_lines())
+def test_a_command_line_exits_cleanly_or_with_an_error_line(run_dir, argv):
+    first, again = run_dir / "first.csv", run_dir / "again.csv"
+    for path in (first, again):
+        path.unlink(missing_ok=True)
+    code, _, err = run_main(argv + ["--out", str(first)])
+    if code == 2:
+        assert "error: " in err
+        return
+    assert code == 0, err
+    if argv[0] == "generate":
+        assert run_main(argv + ["--out", str(again)])[0] == 0
+    else:
+        manifest = Path(f"{first}.manifest").read_text(encoding="utf-8")
+        run_experiment(config_from_manifest(manifest, output=str(again)))
+        assert Path(f"{again}.manifest").read_bytes() == Path(f"{first}.manifest").read_bytes()
+    assert again.read_bytes() == first.read_bytes()
