@@ -95,6 +95,8 @@ def _graph_spec(args) -> GraphSpec:
 def _cmd_generate(args) -> int:
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
+    if args.gen is None:  # generate has no --graph
+        raise ValueError("need --gen")
     spec = _graph_spec(args)
     graph = spec.build(args.seed)
     params = " ".join(f"{k}={v}" for k, v in spec.describe())

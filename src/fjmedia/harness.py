@@ -38,8 +38,6 @@ __all__ = [
     "config_from_manifest",
 ]
 
-MODES = ("periods", "equilibrium", "nonstubborn", "bounds")
-
 CSV_COLUMNS = {
     "periods": ["rep", "period", "sum_z", "mean_z", "z_M", "z_Mprime",
                 "truncated", "stop_cause"],
@@ -48,6 +46,8 @@ CSV_COLUMNS = {
     "nonstubborn": ["rep", "sum_s", "sum_z", "mean_z", "s_M", "z_M_star", "bound"],
     "bounds": ["rep", "sum_s", "lower", "upper", "exact_if_regular", "ell_star"],
 }
+
+MODES = tuple(CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,8 @@ class ExperimentConfig:
         if not (np.isfinite(self.innate_var) and self.innate_var >= 0):
             raise ValueError(f"innate_var must be finite and >= 0, got {self.innate_var:g}")
         MediaConfig(self.alpha, self.beta, self.gamma)  # parameter check
+        if self.mode == "nonstubborn" and self.alpha != 1.0:  # every node hears the source
+            raise ValueError(f"nonstubborn mode needs alpha = 1, got alpha = {self.alpha:g}")
 
     @property
     def media(self) -> MediaConfig:
@@ -267,7 +269,7 @@ def _run_one(config, rep, graph, s, assignment, stop):
 
     sum_s = float(s.sum())
     if config.mode == "nonstubborn":
-        z, z_m_star = nonstubborn_equilibrium(graph, s, media, tol=config.tol)
+        z, z_m_star = nonstubborn_equilibrium(graph, s, config.beta, config.gamma, tol=config.tol)
         bound = (1.0 + (1.0 + config.gamma) / graph.n) * sum_s
         return [{"rep": rep, "sum_s": sum_s, "sum_z": float(z.sum()),
                  "mean_z": float(z.mean()), "s_M": source_opinions(s, config.gamma).z_M,

@@ -36,27 +36,24 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
-from .media import (MediaConfig, MediaSystem, equilibrium_with_media, opinion_vector,
-                    source_opinions)
+from .media import MediaSystem, equilibrium_with_media, opinion_vector, source_opinions
 from .numerics import dot, solve_spd
 
 __all__ = ["nonstubborn_equilibrium"]
 
 
-def nonstubborn_equilibrium(graph: Graph, s: np.ndarray, config: MediaConfig,
+def nonstubborn_equilibrium(graph: Graph, s: np.ndarray, beta: float, gamma: float,
                             tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Equilibrium with one non-stubborn source; returns (node opinions, z_M*).
 
-    Eliminates the source node and solves the stubborn media operator twice,
-    dividing by 1 + sum(b) (see the module docstring).  Rejects alpha != 1:
-    the single-source analysis assumes everyone listens to M.
+    Every node hears the source (alpha = 1 is part of the model).  Eliminates
+    the source node and solves the stubborn media operator twice, dividing by
+    1 + sum(b) (see the module docstring).
     """
-    if config.alpha != 1.0:
-        raise ValueError("non-stubborn mode requires alpha = 1")
     s = opinion_vector(s, graph.n)
-    system = MediaSystem(graph, config.beta)
+    s_M = source_opinions(s, gamma).z_M
+    system = MediaSystem(graph, beta)
     b = solve_spd(system.op, system.weight, tol=tol).solution
-    s_M = source_opinions(s, config.gamma).z_M
     z_M = (s_M + dot(b, s)) / (1.0 + float(b.sum()))
     z = equilibrium_with_media(system, s, np.full(graph.n, z_M), tol=tol).solution
     return z, z_M

@@ -54,7 +54,8 @@ class StopCriteria:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < self.up_threshold <= 1.0:
-            raise ValueError("need 0 < epsilon < up_threshold <= 1")
+            raise ValueError(f"need 0 < epsilon < up_threshold <= 1, got epsilon = "
+                             f"{self.epsilon:g} and up_threshold = {self.up_threshold:g}")
         if self.max_periods < 1:
             raise ValueError("max_periods must be >= 1")
         if self.fixed_point_tol is not None and self.fixed_point_tol < 0:

@@ -60,6 +60,35 @@ MUTANTS = [
      "    if int(ids.max()) >> (63 - bits):",
      "    if False:",
      ["tests/test_graph.py"]),
+    ("the last bad edge named instead of the first", "graph.py",
+     "k = int(np.argmax(out | (u == v) | bad_w | dup))",
+     "k = u.size - 1 - int(np.argmax((out | (u == v) | bad_w | dup)[::-1]))",
+     ["tests/test_graph.py::test_error_names_the_earliest_bad_edge"]),
+    ("a bad edge named by its data-row index, not its line", "graph.py",
+     'raise ValueError(f"line {lines[k]}: ', 'raise ValueError(f"line {k + 1}: ',
+     ["tests/test_graph.py"]),
+    ("one resolution round for copies inside a BA block", "graph.py",
+     "    while ref.size:", "    while False:",
+     ["tests/test_graph.py"]),
+    ("neighbor_sum without its tail add", "graph.py",
+     "    if graph.tail_rows.size:", "    if False:",
+     ["tests/test_graph.py"]),
+    ("neighbor_sum without the zero fill for K = 0", "graph.py",
+     "out.fill(0.0)", "pass",
+     ["tests/test_graph.py"]),
+    ("rhs_norm of the scaled right-hand side", "numerics.py",
+     "rhs_norm = float(np.ldexp(b_norm, -k))", "rhs_norm = float(b_norm)",
+     ["tests/test_numerics.py::test_rhs_norm_is_the_two_norm_of_the_given_rhs"]),
+    ("a media system built per period", "periods.py",
+     "report = equilibrium_with_media(system, s, zeta, tol=tol)",
+     "report = equilibrium_with_media(MediaSystem(graph, config.beta), s, zeta, tol=tol)",
+     ["tests/test_periods.py::test_a_run_builds_one_operator"]),
+    ("a nonstubborn run accepts alpha below 1", "harness.py",
+     'if self.mode == "nonstubborn" and self.alpha != 1.0:', "if False:",
+     ["tests/test_nonstubborn.py::test_alpha_below_one_rejected"]),
+    ("a name missing from one module's __all__", "fj.py",
+     '__all__ = ["fj_step", "fj_equilibrium"]', '__all__ = ["fj_equilibrium"]',
+     ["tests/test_harness.py::test_package_exports_each_modules_public_names"]),
 ]
 
 

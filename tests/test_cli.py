@@ -11,6 +11,7 @@ import fjmedia
 from fjmedia import (ExperimentConfig, GraphSpec, config_from_manifest, load_edge_list,
                      run_experiment)
 from fjmedia.cli import main
+import fjmedia.harness as harness
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +99,19 @@ def test_nonstubborn_alpha_defaults_to_one(capsys):
         "--beta", "0.5", "--gamma", "0.1", "--reps", "1")
     assert code == 0
     assert "z_M_star=" in stdout and "bound=" in stdout
+
+
+@pytest.mark.parametrize("source", [["--gen", "ba", "--n", "20000", "--m", "3"],
+                                    ["--graph", "never-read.edges"]])
+def test_nonstubborn_alpha_below_one_exits_before_any_graph(monkeypatch, capsys, source):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built or read")
+    for name in ("gen_barabasi_albert", "gen_random_regular", "load_edge_list", "open"):
+        monkeypatch.setattr(harness, name, no_graph, raising=False)
+    code, out, err = run_cli(capsys, "nonstubborn", *source, "--alpha", "0.5",
+                             "--beta", "0.5", "--gamma", "0.05")
+    assert (code, out) == (2, "")
+    assert err == "error: nonstubborn mode needs alpha = 1, got alpha = 0.5\n"
 
 
 def test_bounds_run_prints_ell_star(capsys):
@@ -250,6 +264,11 @@ def test_missing_graph_source(capsys):
     assert code == 2 and "either --graph or --gen" in err
 
 
+def test_generate_without_gen_names_only_its_own_flag(capsys):
+    code, out, err = run_cli(capsys, "generate", "--n", "10", "--d", "2")
+    assert (code, out, err) == (2, "", "error: need --gen\n")
+
+
 def test_unreadable_graph_file(capsys):
     code, _, err = run_cli(
         capsys, "equilibrium", "--graph", "/no/such/file.edges",
@@ -372,6 +391,15 @@ def test_small_n_periods_asks_for_epsilon(tmp_path, capsys, n):
     code, _, err = run_cli(capsys, *argv, "--epsilon", "0.05")
     assert code == 0 and err == ""
     assert "epsilon = 0.050000000000000003\n" in (tmp_path / "p.csv.manifest").read_text()
+
+
+def test_explicit_epsilon_above_the_up_threshold_names_both(capsys):
+    code, _, err = run_cli(capsys, "periods", "--gen", "dreg", "--n", "30", "--d", "4",
+                           "--alpha", "1", "--beta", "0.5", "--gamma", "0.1",
+                           "--epsilon", "0.95")
+    assert code == 2
+    assert err == ("error: need 0 < epsilon < up_threshold <= 1, got epsilon = 0.95 "
+                   "and up_threshold = 0.909091\n")
 
 
 def test_missing_required_flag_exits(capsys):

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import fjmedia
 import fjmedia.graph as graph_module
-from fjmedia import (CSV_COLUMNS, ExperimentConfig, GraphSpec,
+from fjmedia import (CSV_COLUMNS, MODES, ExperimentConfig, GraphSpec,
                      config_from_manifest, gen_barabasi_albert, rows_to_csv,
                      run_experiment, sample_innate, write_edge_list)
 
@@ -107,6 +108,35 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="seed"):
         dreg_config(base_seed=-1)
     assert dreg_config(innate_var=0.04).innate_sigma == pytest.approx(0.2)
+
+
+# ---------------------------------------------------------------------------
+# the package surface
+
+PUBLIC_NAMES = {
+    "Graph", "GraphStats", "gen_barabasi_albert", "gen_random_regular",
+    "load_edge_list", "neighbor_sum", "write_edge_list",
+    "ConvergenceError", "DiagPlusLaplacianOperator", "SolveReport", "solve_spd",
+    "MediaAssignment", "MediaConfig", "MediaSystem", "SourceOpinions", "SumBounds",
+    "assign_media", "build_zeta", "equilibrium_with_media", "opinion_vector",
+    "source_opinions", "sum_bounds", "truncated_lower_bound", "truncated_regular_sum",
+    "fj_equilibrium", "fj_step",
+    "PeriodRecord", "PeriodTrajectory", "STOP_CAUSES", "StopCriteria",
+    "alpha_half_limit", "analytic_summary", "ell_star", "run_periods",
+    "nonstubborn_equilibrium",
+    "CSV_COLUMNS", "ExperimentConfig", "GraphSpec", "MODES", "RunManifest",
+    "config_from_manifest", "rows_to_csv", "run_experiment", "sample_innate",
+    "__version__",
+}
+
+
+def test_package_exports_each_modules_public_names():
+    assert len(PUBLIC_NAMES) == 45
+    assert sorted(fjmedia.__all__) == sorted(PUBLIC_NAMES)  # and no name twice
+    star = {}
+    exec("from fjmedia import *", star)
+    assert set(star) - {"__builtins__"} == PUBLIC_NAMES
+    assert MODES == ("periods", "equilibrium", "nonstubborn", "bounds") == tuple(CSV_COLUMNS)
 
 
 # ---------------------------------------------------------------------------

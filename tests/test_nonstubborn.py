@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fjmedia import (Graph, MediaConfig, fj_equilibrium, gen_barabasi_albert,
-                     gen_random_regular, nonstubborn_equilibrium,
+from fjmedia import (ExperimentConfig, Graph, GraphSpec, MediaConfig, fj_equilibrium,
+                     gen_barabasi_albert, gen_random_regular, nonstubborn_equilibrium,
                      source_opinions)
+import fjmedia.nonstubborn as nonstubborn_module
 from oracles import adjacency, edge_tuples, fj_matrix
 from oracles import solve as dense_solve
 
@@ -40,8 +41,7 @@ def test_augmented_weights_follow_degree():
     # 1.0, 1.5, 1.0
     g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
     s = np.array([0.2, 0.5, 0.8])
-    z, z_M = nonstubborn_equilibrium(g, s, MediaConfig(1.0, 0.5, 0.4),
-                                     tol=1e-13)
+    z, z_M = nonstubborn_equilibrium(g, s, 0.5, 0.4, tol=1e-13)
     aug = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0),
                                (1, 3, 1.5), (2, 3, 1.0)])
     want = dense_solve(fj_matrix(aug), [0.2, 0.5, 0.8, 0.7])
@@ -51,8 +51,8 @@ def test_augmented_weights_follow_degree():
 def test_isolated_node_still_hears_the_source():
     # degree 0: media edge weight beta * (1 + 0) = beta, not dropped, so
     # node and source meet at (2 * 0.2 + 0.3) / 3 and (0.2 + 2 * 0.3) / 3
-    z, z_M = nonstubborn_equilibrium(single_node_graph(), np.array([0.2]),
-                                     MediaConfig(1.0, 1.0, 0.5), tol=1e-13)
+    z, z_M = nonstubborn_equilibrium(single_node_graph(), np.array([0.2]), 1.0, 0.5,
+                                     tol=1e-13)
     assert z[0] == pytest.approx(0.7 / 3.0, abs=1e-10)
     assert z_M == pytest.approx(0.8 / 3.0, abs=1e-10)
 
@@ -60,7 +60,7 @@ def test_isolated_node_still_hears_the_source():
 def test_beta_zero_detaches_the_source():
     g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
     s = np.array([0.2, 0.5, 0.8])
-    z, z_M = nonstubborn_equilibrium(g, s, MediaConfig(1.0, 0.0, 0.1))
+    z, z_M = nonstubborn_equilibrium(g, s, 0.0, 0.1)
     # detached source keeps its innate opinion, nodes solve plain FJ
     assert z_M == source_opinions(s, 0.1).z_M
     assert np.array_equal(z, fj_equilibrium(g, s))
@@ -75,8 +75,8 @@ def test_beta_zero_detaches_the_source():
 def test_two_node_frozen_value():
     # one node at s = 0.5, gamma = 0.1, beta = 1: source innate 0.55, edge
     # weight 1, so z = (I+L)^{-1} (0.5, 0.55) on a single edge
-    z, z_M = nonstubborn_equilibrium(single_node_graph(), np.array([0.5]),
-                                     MediaConfig(1.0, 1.0, 0.1), tol=1e-13)
+    z, z_M = nonstubborn_equilibrium(single_node_graph(), np.array([0.5]), 1.0, 0.1,
+                                     tol=1e-13)
     assert z[0] == pytest.approx(0.5166666666666666, abs=1e-10)
     assert z_M == pytest.approx(0.5333333333333333, abs=1e-10)
     assert z[0] + z_M == pytest.approx(1.05, abs=1e-10)
@@ -85,7 +85,7 @@ def test_two_node_frozen_value():
 def test_consensus_with_tiny_gamma():
     g = gen_random_regular(20, 4, seed=1)
     s = np.full(20, 0.4)
-    z, z_M = nonstubborn_equilibrium(g, s, MediaConfig(1.0, 0.8, 1e-9))
+    z, z_M = nonstubborn_equilibrium(g, s, 0.8, 1e-9)
     assert np.allclose(z, 0.4, atol=1e-8)
     assert z_M == pytest.approx(0.4, abs=1e-8)
 
@@ -99,7 +99,7 @@ def test_sum_conservation_and_bound():
         s = rng.uniform(0.05, 0.9, g.n)
         config = MediaConfig(alpha=1.0, beta=float(rng.uniform(0.1, 1.0)),
                              gamma=float(rng.uniform(0.0, 0.2)))
-        z, z_M = nonstubborn_equilibrium(g, s, config, tol=1e-12)
+        z, z_M = nonstubborn_equilibrium(g, s, config.beta, config.gamma, tol=1e-12)
         s_M = min((1.0 + config.gamma) * s.mean(), 1.0)
         assert z.sum() + z_M == pytest.approx(s.sum() + s_M, abs=1e-8)
         assert z.sum() <= (1.0 + (1.0 + config.gamma) / g.n) * s.sum() + 1e-8
@@ -110,8 +110,7 @@ def test_influence_cap_on_complete_graph():
     # sum past (1 + 1.01/45) * 22.5
     g = complete_graph(45)
     s = np.full(45, 0.5)
-    z, z_M = nonstubborn_equilibrium(g, s, MediaConfig(1.0, 0.025, 0.01),
-                                     tol=1e-12)
+    z, z_M = nonstubborn_equilibrium(g, s, 0.025, 0.01, tol=1e-12)
     cap = (1.0 + 1.01 / 45.0) * 22.5
     assert z.sum() <= cap + 1e-10
     assert z.sum() >= 22.5  # source starts above the mean, pull is upward
@@ -126,7 +125,7 @@ def test_matches_dense_oracle_on_augmented_graph(beta):
     for g in graphs:
         s = rng.uniform(0.0, 0.8, g.n)
         config = MediaConfig(1.0, beta, 0.05)
-        z, z_M = nonstubborn_equilibrium(g, s, config, tol=1e-12)
+        z, z_M = nonstubborn_equilibrium(g, s, config.beta, config.gamma, tol=1e-12)
         want_z, want_M = augmented_oracle(g, s, config)
         assert np.max(np.abs(np.append(z, z_M) - np.append(want_z, want_M))) <= 1e-8
 
@@ -137,7 +136,7 @@ def test_huge_beta_gives_the_consensus_on_every_node(beta):
     # the old denominator 1 + sum(w) - w^T b lost every digit to cancellation
     g = gen_barabasi_albert(300, 3, seed=0)
     s = np.clip(np.random.default_rng(1).normal(0.5, 0.45, 300), 0.0, 1.0)
-    z, z_M = nonstubborn_equilibrium(g, s, MediaConfig(1.0, beta, 0.1))
+    z, z_M = nonstubborn_equilibrium(g, s, beta, 0.1)
     consensus = (s.sum() + source_opinions(s, 0.1).z_M) / 301
     assert np.max(np.abs(z - consensus)) <= 1e-12
     assert abs(z_M - consensus) <= 1e-12
@@ -146,7 +145,7 @@ def test_huge_beta_gives_the_consensus_on_every_node(beta):
 def test_source_innate_caps_at_one():
     g = gen_random_regular(10, 4, seed=3)
     s = np.full(10, 0.999)
-    z, z_M = nonstubborn_equilibrium(g, s, MediaConfig(1.0, 0.5, 0.5))
+    z, z_M = nonstubborn_equilibrium(g, s, 0.5, 0.5)
     # s_M capped at 1, everything stays in the box
     assert z.max() <= 1.0 + 1e-12
     assert z_M <= 1.0 + 1e-12
@@ -154,6 +153,19 @@ def test_source_innate_caps_at_one():
 
 
 def test_alpha_below_one_rejected():
-    g = single_node_graph()
-    with pytest.raises(ValueError, match="alpha"):
-        nonstubborn_equilibrium(g, np.array([0.5]), MediaConfig(0.9, 0.5, 0.1))
+    # every node hears the persuadable source: the run's config refuses any
+    # other alpha, after the range check that names a NaN
+    spec = GraphSpec("dreg", n=4, d=2)
+    with pytest.raises(ValueError, match=r"^nonstubborn mode needs alpha = 1, got alpha = 0\.9$"):
+        ExperimentConfig("nonstubborn", spec, alpha=0.9, beta=0.5, gamma=0.1)
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+        ExperimentConfig("nonstubborn", spec, alpha=float("nan"), beta=0.5, gamma=0.1)
+    ExperimentConfig("equilibrium", spec, alpha=0.9, beta=0.5, gamma=0.1)
+
+
+def test_bad_gamma_is_refused_before_any_solve(monkeypatch):
+    solves = []
+    monkeypatch.setattr(nonstubborn_module, "solve_spd", lambda *a, **k: solves.append(a))
+    with pytest.raises(ValueError, match="gamma"):
+        nonstubborn_equilibrium(single_node_graph(), np.array([0.5]), 0.5, 1.5)
+    assert solves == []

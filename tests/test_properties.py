@@ -10,8 +10,9 @@ against its solved sum at any alpha, and moving nodes from M' to M must never
 lower an equilibrium opinion.  The preferential-attachment generator must
 give the urn loop's edges for any size and seed, however its blocks fall.
 Both solve modes must meet their proven error bounds against exact
-references for every beta from 0 to 1e300, and every command line must exit
-0 with files a rerun reproduces, or exit 2 with an error line.
+references for every beta from 0 to 1e300, and every command line, on a
+generated graph or on a graph file, must exit 0 with files a rerun
+reproduces, or exit 2 with one error line.
 """
 
 import io
@@ -98,9 +99,8 @@ def test_equilibrium_with_media_commutes_with_relabelling(inst, beta, gamma):
 @given(instances(), st.floats(0.0, 2.0), unit)
 def test_nonstubborn_equilibrium_commutes_with_relabelling(inst, beta, gamma):
     g, s, _, perm = inst
-    config = MediaConfig(alpha=1.0, beta=beta, gamma=gamma)
-    z, z_M = nonstubborn_equilibrium(g, s, config, tol=1e-12)
-    z2, z2_M = nonstubborn_equilibrium(relabel(g, perm), moved(s, perm), config,
+    z, z_M = nonstubborn_equilibrium(g, s, beta, gamma, tol=1e-12)
+    z2, z2_M = nonstubborn_equilibrium(relabel(g, perm), moved(s, perm), beta, gamma,
                                        tol=1e-12)
 
     assert np.max(np.abs(z2 - moved(z, perm))) <= 1e-9
@@ -421,12 +421,11 @@ def test_media_equilibrium_is_right_over_the_whole_range(inst, alpha, gamma):
 @example((gen_random_regular(1, 0, 0), np.array([0.0]), 1e16, 1e-3, 0), 0.0)
 def test_nonstubborn_equilibrium_is_right_over_the_whole_range(inst, gamma):
     g, s, beta, tol, _ = inst
-    config = MediaConfig(alpha=1.0, beta=beta, gamma=gamma)
     if not math.isfinite(beta * (1.0 + g.stats.d_max)):
         with pytest.raises(ValueError, match=WEIGHT_OVERFLOWS):
-            nonstubborn_equilibrium(g, s, config, tol=tol)
+            nonstubborn_equilibrium(g, s, beta, gamma, tol=tol)
         return
-    z, z_M = nonstubborn_equilibrium(g, s, config, tol=tol)
+    z, z_M = nonstubborn_equilibrium(g, s, beta, gamma, tol=tol)
 
     n = g.n
     system = MediaSystem(g, beta)
@@ -526,15 +525,20 @@ def run_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("runs")
 
 
-@settings(SETTINGS, max_examples=200)
-@given(command_lines())
-def test_a_command_line_exits_cleanly_or_with_an_error_line(run_dir, argv):
+def error_lines(err):
+    return [line for line in err.splitlines() if "error: " in line]
+
+
+def exits_cleanly_or_with_an_error_line(run_dir, argv):
+    """Run ``argv`` with --out: exit 0 with files that a rerun (from the
+    manifest, for a run mode) reproduces byte for byte, or exit 2 with one
+    error line."""
     first, again = run_dir / "first.csv", run_dir / "again.csv"
     for path in (first, again):
         path.unlink(missing_ok=True)
     code, _, err = run_main(argv + ["--out", str(first)])
     if code == 2:
-        assert "error: " in err
+        assert len(error_lines(err)) == 1, err
         return
     assert code == 0, err
     if argv[0] == "generate":
@@ -544,3 +548,27 @@ def test_a_command_line_exits_cleanly_or_with_an_error_line(run_dir, argv):
         run_experiment(config_from_manifest(manifest, output=str(again)))
         assert Path(f"{again}.manifest").read_bytes() == Path(f"{first}.manifest").read_bytes()
     assert again.read_bytes() == first.read_bytes()
+
+
+@settings(SETTINGS, max_examples=200)
+@given(command_lines())
+def test_a_command_line_exits_cleanly_or_with_an_error_line(run_dir, argv):
+    exits_cleanly_or_with_an_error_line(run_dir, argv)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(command_lines().filter(lambda argv: argv[0] != "generate"), st.integers(0, 2**32))
+def test_a_command_line_on_a_graph_file_exits_cleanly_or_with_an_error_line(
+        run_dir, argv, seed):
+    # argv[1:7] is the drawn --gen source: generate writes that graph to a
+    # file, and the run reads it with --graph in its place, so the rerun
+    # from the manifest checks the file's graph.sha256
+    edges = run_dir / "graph.edges"
+    edges.unlink(missing_ok=True)
+    code, _, err = run_main(["generate", *argv[1:7], "--seed", str(seed),
+                             "--out", str(edges)])
+    if code == 2:
+        assert len(error_lines(err)) == 1, err
+        return
+    assert code == 0, err
+    exits_cleanly_or_with_an_error_line(run_dir, [argv[0], "--graph", str(edges), *argv[7:]])
