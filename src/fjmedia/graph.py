@@ -18,7 +18,12 @@ also forms their sorting permutation, to carry each entry's weight.
 Node ids are dense 0..n-1.  Only ``Graph`` knows the edge rules; ``load_edge_list``
 parses text, remaps ids by first appearance and names a rejected edge's line.
 The remap, too, is a value sort: each id is packed with its position, so
-the sorted values give what a stable argsort of the ids would.
+the sorted values give what a stable argsort of the ids would.  A file that
+numpy parses as one table is built without its bytes, which are dropped once
+parsed, and without an array of unit weights, which is one broadcast 1.0 (a
+unit-weight degree is its row count).  That path words an edge error itself,
+from the file ids the remap returns and the comment and blank lines the parse
+skipped.
 """
 
 from __future__ import annotations
@@ -104,7 +109,9 @@ class Graph:
             raise ValueError("graph needs at least one node")
         u = np.asarray(self.edge_u, dtype=np.int64).reshape(-1)  # read, never kept
         v = np.asarray(self.edge_v, dtype=np.int64).reshape(-1)
-        w = np.asarray(self.edge_w, dtype=np.float64).ravel()
+        # reshape, not ravel: unit weights may come as one broadcast 1.0,
+        # which ravel would copy into an array of ones
+        w = np.asarray(self.edge_w, dtype=np.float64).reshape(-1)
         m = u.size
         if not (m == v.size == w.size):
             raise ValueError("edge arrays must have identical length")
@@ -135,36 +142,42 @@ class Graph:
         # row i starts at sorted position row_start[i]; its first K entries
         # go to the head, the rest to the tail.  The head is filled a row at
         # a time: one (K, n) index array would raise peak memory by up to
-        # 16 bytes per edge
-        k_min = int(counts.min())
+        # 16 bytes per edge.  Only a row longer than K has a tail, so a
+        # graph without one marks no entries
+        k_min, longest = int(counts.min()), int(counts.max())
         row_start = np.cumsum(counts) - counts
         head = np.empty((k_min, n), dtype=np.int64)
         head_w = None if unit else np.empty((k_min, n))
-        in_tail = np.ones(keys.size, dtype=bool)
+        in_tail = (np.ones(keys.size, dtype=bool) if longest > k_min
+                   else np.empty(0, dtype=np.intp))  # no tail: an index of nothing
         for k in range(k_min):
             at = row_start + k
             head[k] = keys[at]
             if head_w is not None:
                 head_w[k] = w[order[at]]
-            in_tail[at] = False
+            if in_tail.size:
+                in_tail[at] = False
         tail = keys[in_tail]
         tail_w = None if unit else w[order[in_tail]]
-        del keys, order, in_tail
+        del keys, order, in_tail, row_start
         tail_len = counts - k_min
         tail_rows = np.flatnonzero(tail_len)
+        tail_starts = (np.cumsum(tail_len) - tail_len)[tail_rows]
+        del tail_len
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        deg = np.bincount(lo, weights=w, minlength=n) + np.bincount(
-            hi, weights=w, minlength=n
-        )
+        if unit:  # a sum of ones is exact: the weighted sums give these bits
+            deg = counts.astype(np.float64)
+        else:
+            deg = (np.bincount(lo, weights=w, minlength=n)
+                   + np.bincount(hi, weights=w, minlength=n))
         stored = (("edge_u", lo), ("edge_v", hi), ("edge_w", w), ("degree", deg),
                   ("head", head), ("tail", tail), ("head_w", head_w), ("tail_w", tail_w),
-                  ("tail_rows", tail_rows),
-                  ("tail_starts", (np.cumsum(tail_len) - tail_len)[tail_rows]))
+                  ("tail_rows", tail_rows), ("tail_starts", tail_starts))
         for name, arr in stored:
             if arr is not None:
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "longest_row", int(counts.max()))
+        object.__setattr__(self, "longest_row", longest)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -270,24 +283,32 @@ def load_edge_list(path) -> Graph:
     line and its original ids.
 
     ``path`` is a file path, or a binary stream (anything with ``read``) that
-    is read to its end and left open.  The bytes are read once: numpy first
-    parses them as one table, and whenever that parse cannot take the whole
-    file, or the edges break a rule, the line reader parses the same bytes
-    and words the error.
+    is read to its end and left open.  The bytes are read once.  numpy first
+    parses them as one table, and once that parse has taken the whole file
+    the bytes are dropped: the graph is built from the table alone, and an
+    edge that breaks a rule is named from the table, with the file's ids and
+    a line number counted past the comment and blank lines the parse
+    skipped.  Only when the table parse cannot take the file does the line
+    reader parse the same bytes and word any error.
     """
     with (nullcontext(path) if hasattr(path, "read") else open(path, "rb")) as fh:
         data = fh.read()
-    graph = _load_table(data)
-    return graph if graph is not None else _load_lines(data)
+    table = _parse_table(data)
+    if table is None:
+        return _load_lines(data)
+    del data  # the only reference: the graph is built without the file's bytes
+    return _table_graph(*table)
 
 
 # the first line whose first token does not start with '#'
 _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
 
 
-def _load_table(data: bytes) -> Graph | None:
-    # the whole file through np.loadtxt, or None to leave it to _load_lines
-    ncols = _table_columns(data)
+def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    # the whole file through np.loadtxt: its ids in file order, u0 v0 u1 v1
+    # ..., its weights and the numbers of the lines it skipped; or None to
+    # leave the file to _load_lines
+    ncols, head = _table_columns(data)
     if not ncols:
         return None
     dtype = [("u", np.int64), ("v", np.int64), ("w", np.float64)][:ncols]
@@ -301,7 +322,7 @@ def _load_table(data: bytes) -> Graph | None:
         return None
     if ncols == 2:
         ids = table.view(np.int64)  # u0 v0 u1 v1 ...: two int64 fields, no padding
-        w = np.ones(table.size)
+        w = np.broadcast_to(1.0, table.size)  # read-only: no array of ones
     else:
         ids = np.empty(2 * table.size, dtype=np.int64)
         ids[0::2], ids[1::2] = table["u"], table["v"]
@@ -309,27 +330,46 @@ def _load_table(data: bytes) -> Graph | None:
     del table
     if ids.min() < 0:
         return None
-    n = _relabel_by_first_appearance(ids)
+    return ids, w, _skipped_lines(data, ids.size // 2, head)
+
+
+def _table_graph(ids: np.ndarray, w: np.ndarray, skipped: np.ndarray) -> Graph:
+    # the graph of a parsed table; an edge that breaks a rule is named as
+    # _load_lines names it, by its line and the file's ids
+    file_ids = _relabel_by_first_appearance(ids)
     ids = ids.reshape(-1, 2)  # Graph reads the columns as they lie
     try:
-        return Graph(n, ids[:, 0], ids[:, 1], w)
-    except _EdgeError:
-        return None
+        return Graph(file_ids.size, ids[:, 0], ids[:, 1], w)
+    except _EdgeError as exc:
+        # row k is data line k + 1, moved down by each skipped line before
+        # it: skipped line j (from 0) has skipped[j] - 1 - j data lines above
+        k = exc.index
+        line = k + 1 + int(np.searchsorted(skipped - np.arange(1, skipped.size + 1), k,
+                                           side="right"))
+        raise _edge_error(line, exc, *file_ids[ids[k]]) from None
 
 
-def _table_columns(data: bytes) -> int:
-    # 2 or 3 when np.loadtxt would read the file as _load_lines does, else 0:
-    # loadtxt misreads some non-ASCII digits as ASCII ones, and it cuts an
-    # inline '#' where the line reader rejects the line
+def _edge_error(line: int, exc: _EdgeError, a, b) -> ValueError:
+    # an edge rule broken on a line, named with the file's ids of its ends
+    return ValueError(f"line {line}: {exc.reason} {a}-{b}")
+
+
+def _table_columns(data: bytes) -> tuple[int, int]:
+    # (2 or 3, the lines before the first data line) when np.loadtxt would
+    # read the file as _load_lines does, else (0, 0): loadtxt misreads some
+    # non-ASCII digits as ASCII ones, and it cuts an inline '#' where the
+    # line reader rejects the line
     if not data.isascii():
-        return 0  # the line reader also reports an undecodable line
+        return 0, 0  # the line reader also reports an undecodable line
     # lines end as text mode ends them, at a CRLF or a lone CR too
     text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None).read()
     if not _comments_start_lines(text):
-        return 0
+        return 0, 0
     first = _DATA_LINE.search(text)
     ncols = len(first.group().split()) if first else 0
-    return ncols if ncols in (2, 3) else 0
+    if ncols not in (2, 3):
+        return 0, 0
+    return ncols, text.count("\n", 0, first.start())
 
 
 def _comments_start_lines(text: str) -> bool:
@@ -345,19 +385,52 @@ def _comments_start_lines(text: str) -> bool:
     return True
 
 
-def _relabel_by_first_appearance(ids: np.ndarray) -> int:
+# the bytes str.split splits at within a line: ASCII whitespace but the line end
+_BLANK = np.array([c != "\n" and c.isspace() for c in map(chr, range(128))] + [False] * 128)
+
+
+def _skipped_lines(data: bytes, rows: int, head: int) -> np.ndarray:
+    # the numbers of the comment and blank lines np.loadtxt skipped, in
+    # order, when it read ``rows`` data lines from ``data`` and ``head``
+    # lines came before the first.  A count of the line ends shows whether
+    # any line after the first data line was skipped; only then are the
+    # lines scanned, all at once: each line's first byte past its blanks is
+    # '#' on a comment line and the line end on a blank one
+    if b"\r" in data:  # line ends as text mode reads them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    chars = np.frombuffer(data, dtype=np.uint8)
+    ends = chars == ord("\n")
+    if np.count_nonzero(ends) == head + rows:
+        return np.arange(1, head + 1)
+    ends = np.flatnonzero(ends)
+    first = np.empty(ends.size, dtype=np.int64)  # each line's first byte past its blanks
+    first[0], first[1:] = 0, ends[:-1] + 1
+    at = np.flatnonzero(_BLANK[chars[first]])
+    while at.size:
+        first[at] += 1
+        at = at[_BLANK[chars[first[at]]]]
+    lead = chars[first]
+    return np.flatnonzero((lead == ord("#")) | (lead == ord("\n"))) + 1
+
+
+def _relabel_by_first_appearance(ids: np.ndarray) -> np.ndarray:
     # overwrite the non-empty, non-negative ``ids`` with dense labels numbered
-    # by first appearance; returns the number of distinct ids.  Each id is
-    # packed with its position, id << bits | position, and the packed values
-    # are sorted in place: that orders the ids as a stable argsort would, and
-    # each id's run starts at its first appearance.  The packing needs ids
-    # below 2**(63 - bits); larger ones are first replaced by their codes in
-    # sorted order, which keep equality and first appearance (the codes fit
-    # while there are fewer than 2**31 ids)
+    # by first appearance; returns the id of each label, one per distinct id.
+    # Each id is packed with its position, id << bits | position, and the
+    # packed values are sorted in place: that orders the ids as a stable
+    # argsort would, and each id's run starts at its first appearance.  The
+    # packing needs ids below 2**(63 - bits); larger ones are first replaced
+    # by their codes in sorted order, which keep equality and first
+    # appearance (the codes fit while there are fewer than 2**31 ids)
     size = ids.size
     bits = (size - 1).bit_length()
+    codes = None
     if int(ids.max()) >> (63 - bits):
-        ids[:] = np.unique(ids, return_inverse=True)[1].reshape(-1)
+        codes, inverse = np.unique(ids, return_inverse=True)
+        ids[:] = inverse.reshape(-1)
+        del inverse
     ids <<= bits
     ids |= np.arange(size)
     ids.sort()
@@ -367,15 +440,19 @@ def _relabel_by_first_appearance(ids: np.ndarray) -> int:
     head[0] = True
     np.not_equal(ids[1:], ids[:-1], out=head[1:])
     first_seen = pos[head]
+    by_appearance = np.argsort(first_seen)
+    file_ids = ids[head][by_appearance]
     rank = np.empty(first_seen.size, dtype=np.int64)
-    rank[np.argsort(first_seen)] = np.arange(first_seen.size)
+    rank[by_appearance] = np.arange(first_seen.size)
+    del first_seen, by_appearance
     np.cumsum(head, out=ids)  # sorted entry -> 1 + the number of its run
+    del head
     ids -= 1
     labels = np.empty_like(ids)
     labels[pos] = ids
     del pos
     np.take(rank, labels, out=ids)
-    return int(first_seen.size)
+    return file_ids if codes is None else codes[file_ids]
 
 
 def _load_lines(data: bytes) -> Graph:
@@ -423,7 +500,7 @@ def _load_lines(data: bytes) -> Graph:
                      np.array(ws, dtype=np.float64))
     except _EdgeError as exc:
         k, label = exc.index, list(ids)  # label[i]: the file's id of node i
-        raise ValueError(f"line {lines[k]}: {exc.reason} {label[us[k]]}-{label[vs[k]]}") from None
+        raise _edge_error(lines[k], exc, label[us[k]], label[vs[k]]) from None
 
 
 def write_edge_list(graph: Graph, path, comment: str | None = None) -> None:
@@ -517,7 +594,11 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
         chosen: set[int] = set()
         while at < stop:
             asked += 1
-            for idx in rng.integers(k, size=stop - at).tolist():
+            # a lone index as a scalar draw: the same value and generator
+            # state as size=1, without the array
+            lack = stop - at
+            for idx in ([int(rng.integers(k))] if lack == 1
+                        else rng.integers(k, size=lack).tolist()):
                 rel = idx - core
                 if rel < 0:
                     t = idx // (m - 1)

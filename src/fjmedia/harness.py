@@ -179,6 +179,27 @@ def _rep_streams(rep_seed: int) -> tuple[int, int, int]:
     return int(state[0]), int(state[1]), int(state[2])
 
 
+class _CheckedFile:
+    """A file graph's source for :func:`load_edge_list`: ``read`` returns the
+    file's bytes and keeps only their sha256, so the parser holds the only
+    reference to the bytes and can drop them once parsed.  Bytes whose
+    digest differs from ``expected`` (None: unchecked) are refused before
+    any parse.
+    """
+
+    def __init__(self, path: str, expected: str | None) -> None:
+        self.path, self.expected, self.sha256 = path, expected, None
+
+    def read(self) -> bytes:
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        self.sha256 = hashlib.sha256(data).hexdigest()
+        if self.expected not in (None, self.sha256):
+            raise ValueError(f"sha256 {self.sha256} differs from the recorded "
+                             f"{self.expected}; the file changed")
+        return data
+
+
 def run_experiment(config: ExperimentConfig):
     """Run all repetitions; returns (manifest, rows) and writes files if asked.
 
@@ -198,18 +219,12 @@ def run_experiment(config: ExperimentConfig):
         # a file graph ignores the seed: its bytes are read once, before any
         # repetition, and the digest, its check and the parse all see them
         path = config.graph.path
-        with open(path, "rb") as fh:
-            data = fh.read()
-        digest = hashlib.sha256(data).hexdigest()
-        if config.graph.sha256 not in (None, digest):
-            raise ValueError(f"{path}: sha256 {digest} differs from the "
-                             f"recorded {config.graph.sha256}; the file changed")
-        manifest.add("graph.sha256", digest)
+        source = _CheckedFile(path, config.graph.sha256)
         try:
-            file_graph = load_edge_list(io.BytesIO(data))
+            file_graph = load_edge_list(source)
         except ValueError as exc:  # OSError text already names the file
             raise ValueError(f"{path}: {exc}") from exc
-        del data
+        manifest.add("graph.sha256", source.sha256)
     for key in ("alpha", "beta", "gamma", "innate_mu", "innate_var", "innate_sigma",
                 "repetitions", "base_seed", "tol"):
         manifest.add(key, getattr(config, key))

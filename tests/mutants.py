@@ -65,7 +65,7 @@ MUTANTS = [
      "k = u.size - 1 - int(np.argmax((out | (u == v) | bad_w | dup)[::-1]))",
      ["tests/test_graph.py::test_error_names_the_earliest_bad_edge"]),
     ("a bad edge named by its data-row index, not its line", "graph.py",
-     'raise ValueError(f"line {lines[k]}: ', 'raise ValueError(f"line {k + 1}: ',
+     "raise _edge_error(lines[k], exc,", "raise _edge_error(k + 1, exc,",
      ["tests/test_graph.py"]),
     ("one resolution round for copies inside a BA block", "graph.py",
      "    while ref.size:", "    while False:",
@@ -76,6 +76,30 @@ MUTANTS = [
     ("neighbor_sum without the zero fill for K = 0", "graph.py",
      "out.fill(0.0)", "pass",
      ["tests/test_graph.py"]),
+    ("neighbor_sum without the first head row's weight multiply", "graph.py",
+     "            out *= head_w[0]", "            pass",
+     ["tests/test_graph.py"]),
+    ("neighbor_sum without the other head rows' weight multiply", "graph.py",
+     "            terms *= head_w[k]", "            pass",
+     ["tests/test_graph.py"]),
+    ("neighbor_sum without the tail's weight multiply", "graph.py",
+     "            terms *= graph.tail_w", "            pass",
+     ["tests/test_graph.py"]),
+    ("neighbor_sum reads a head row shifted by one node", "graph.py",
+     "        terms = x[head[k]]", "        terms = x[np.roll(head[k], 1)]",
+     ["tests/test_graph.py"]),
+    ("degree from the row counts on a weighted graph", "graph.py",
+     "        if unit:  # a sum of ones is exact", "        if True:  # a sum of ones is exact",
+     ["tests/test_graph.py"]),
+    ("the table's skipped-line map off by one", "graph.py",
+     '(lead == ord("\\n"))) + 1', '(lead == ord("\\n")))',
+     ["tests/test_graph.py"]),
+    ("the table path names an edge by its relabelled ids", "graph.py",
+     "raise _edge_error(line, exc, *file_ids[ids[k]])", "raise _edge_error(line, exc, *ids[k])",
+     ["tests/test_graph.py"]),
+    ("a unit-weight table given an array of ones", "graph.py",
+     "w = np.broadcast_to(1.0, table.size)", "w = np.ones(table.size)",
+     ["tests/test_harness.py::test_loading_a_file_graph_holds_no_bytes_and_no_ones"]),
     ("rhs_norm of the scaled right-hand side", "numerics.py",
      "rhs_norm = float(np.ldexp(b_norm, -k))", "rhs_norm = float(b_norm)",
      ["tests/test_numerics.py::test_rhs_norm_is_the_two_norm_of_the_given_rhs"]),

@@ -269,6 +269,10 @@ def test_load_errors_carry_line_numbers(tmp_path):
         (b"\xff0 1\n", "^line 1: not valid UTF-8$"),
         # a comment ends at a lone CR: line 3 is data, and its edge is checked
         (b"0 1\n# c\r1 1\n", "^line 3: self-loop 1-1$"),
+        # the table parse words an edge error past the lines it skipped, and
+        # so does the line reader, which takes a file of 2 and 3 columns
+        (b"# c\n5 9\n\n9 7\n7 7\n", "^line 5: self-loop 7-7$"),
+        (b"# c\n5 9\n\n9 7 2\n7 7\n", "^line 5: self-loop 7-7$"),
     ]
     for text, pattern in cases:
         p = tmp_path / "bad.txt"
@@ -312,7 +316,8 @@ def test_load_handles_crlf(tmp_path):
 
 
 # name, file bytes (None: written by `fjmedia generate`), whether numpy's
-# whole-table parse may take the file
+# whole-table parse may take the file; when it does, it also words an edge
+# error, with the file's ids and the line past every skipped line
 LOADER_CASES = [
     ("comments and blanks", b"# head # er\n\n5 9\n  \t\n   # indented\n9 7\n7 5\n", True),
     ("generated, 3 columns", None, True),
@@ -335,8 +340,16 @@ LOADER_CASES = [
     ("ragged", b"0 1\n1\n", False),
     ("float id", b"0 1\n1.0 2\n", False),
     ("non-ASCII digit", "0 1\n1 2\u01fe\n".encode(), False),  # numpy reads it as 482
-    ("inf weight", b"0 1 1\n1 2 inf\n", False),
-    ("duplicate reversed", b"0 1\n1 2\n1 0\n", False),
+    ("inf weight", b"0 1 1\n1 2 inf\n", True),
+    ("duplicate reversed", b"0 1\n1 2\n1 0\n", True),
+    # relabelled, these ids would read 1-0 and 2-2
+    ("duplicate of remapped ids", b"5 9\n9 7\n9 5\n", True),
+    ("self-loop after skipped lines", b"# c\n\n5 9\n  \n9 7\n\t# x\n7 7\n8 5\n", True),
+    ("self-loop after a comment header", b"# c\n# d\n5 9\n9 7\n7 7\n", True),
+    ("self-loop before a blank line", b"5 9\n\n9 9\n\n7 5\n", True),
+    ("self-loop after lone-CR blank lines", b"5 9\r\r9 7\r \r7 7\r", True),
+    ("self-loop, no final line end", b"5 9\n\n9 9", True),
+    ("self-loop, 2 and 3 columns", b"# c\n5 9\n\n9 7 2\n7 7\n", False),
     ("empty", b"", False),
 ]
 
@@ -364,7 +377,7 @@ def test_load_table_parse_matches_the_line_reader(tmp_path, capsys, name, data,
 
     data = p.read_bytes()
     assert outcome(load_edge_list) == outcome(lambda _: graph_module._load_lines(data))
-    assert (graph_module._load_table(data) is not None) == whole_table
+    assert (graph_module._parse_table(data) is not None) == whole_table
 
 
 @pytest.mark.parametrize("data, error", [

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import fjmedia
 import fjmedia.graph as graph_module
 from fjmedia import (CSV_COLUMNS, MODES, ExperimentConfig, GraphSpec,
                      config_from_manifest, gen_barabasi_albert, rows_to_csv,
-                     run_experiment, sample_innate, write_edge_list)
+                     load_edge_list, run_experiment, sample_innate, write_edge_list)
 
 
 def dreg_config(mode="equilibrium", **kw):
@@ -341,13 +342,13 @@ def test_file_graph_is_read_once_and_hashed_as_parsed(tmp_path, monkeypatch, ope
     # got, and a file edited after the run is refused before any parse
     path = _edge_file(tmp_path)
     opened.clear()  # writing the file opened it
-    parsed, real_load_table = [], graph_module._load_table
+    parsed, real_parse_table = [], graph_module._parse_table
 
-    def spying_load_table(data):
+    def spying_parse_table(data):
         parsed.append(data)
-        return real_load_table(data)
+        return real_parse_table(data)
 
-    monkeypatch.setattr(graph_module, "_load_table", spying_load_table)
+    monkeypatch.setattr(graph_module, "_parse_table", spying_parse_table)
     config = ExperimentConfig(mode="equilibrium",
                               graph=GraphSpec(kind="file", path=str(path)),
                               alpha=0.8, beta=0.3, gamma=0.02, repetitions=2)
@@ -363,6 +364,49 @@ def test_file_graph_is_read_once_and_hashed_as_parsed(tmp_path, monkeypatch, ope
         run_experiment(config_from_manifest(manifest.text()))
     assert opened == [str(path)]
     assert parsed == []
+
+
+def _circulant_file(path, header):
+    # 100 000 unit-weight "u v" lines: a 20-regular circulant on 10 000
+    # nodes, ids and lines shuffled, under an optional comment header
+    n, m = 10_000, 100_000
+    rng = np.random.default_rng(5)
+    u = np.repeat(np.arange(n), 10)
+    v = (u + np.tile(np.arange(1, 11), n)) % n
+    perm, order = rng.permutation(n), rng.permutation(m)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header)
+        np.savetxt(fh, np.column_stack([perm[u][order], perm[v][order]]), fmt="%d")
+    return n, m
+
+
+@pytest.mark.parametrize("header", ["", "# a 20-regular circulant\n# 100000 edges\n"],
+                         ids=["plain", "comment header"])
+def test_loading_a_file_graph_holds_no_bytes_and_no_ones(tmp_path, header):
+    # the ingest peak is the table, the sort keys and the head, 16 bytes per
+    # edge each; the graph keeps the head, edge_u and edge_v, 32 bytes per
+    # edge, and its unit weights as one broadcast 1.0.  Each bound allows 8
+    # int64 per node at the peak and 2 kept beside them (the degree): the
+    # file's bytes (about 10 per edge here) or an array of ones (8) breaks it
+    path = tmp_path / "circulant.edges"
+    n, m = _circulant_file(path, header)
+    config = ExperimentConfig(mode="bounds", graph=GraphSpec(kind="file", path=str(path)),
+                              alpha=1.0, beta=0.025, gamma=0.01, repetitions=1)
+    run_experiment(config)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        graph = load_edge_list(path)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert graph.m == m and graph.n == n
+    assert peak <= 48 * m + 64 * n, f"ingest peak {peak / m:.1f} bytes per edge"
+    assert kept <= 32 * m + 16 * n, f"graph keeps {kept / m:.1f} bytes per edge"
 
 
 @pytest.mark.parametrize("key", ["mode", "graph.kind", "graph.n", "graph.d", "graph.path",

@@ -27,14 +27,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fjmedia import (ExperimentConfig, Graph, GraphSpec, MediaAssignment,
-                     MediaConfig, MediaSystem, assign_media, build_zeta,
-                     config_from_manifest, equilibrium_with_media, gen_barabasi_albert,
-                     gen_random_regular, load_edge_list, nonstubborn_equilibrium,
-                     run_experiment, sample_innate, source_opinions, sum_bounds,
-                     write_edge_list)
+from fjmedia import (ConvergenceError, ExperimentConfig, Graph, GraphSpec,
+                     MediaAssignment, MediaConfig, MediaSystem, assign_media, build_zeta,
+                     config_from_manifest, equilibrium_with_media, fj_equilibrium,
+                     gen_barabasi_albert, gen_random_regular, load_edge_list,
+                     neighbor_sum, nonstubborn_equilibrium, run_experiment,
+                     sample_innate, source_opinions, sum_bounds, write_edge_list)
 from fjmedia.cli import main
 import fjmedia.graph as graph_module
+from graph_cases import KERNEL_GRAPHS
 from oracles import (adjacency, barabasi_albert_urn, edge_tuples, jacobi_solve,
                      laplacian, mmatrix_solve)
 
@@ -457,6 +458,72 @@ def test_nonstubborn_equilibrium_is_right_over_the_whole_range(inst, gamma):
     bound = (solve_error(op, rhs_norm, norm(z), tol) + gamma_m(3) * rhs_norm / lam
              + math.sqrt(n) * z_M_error)
     assert norm(z - want[:n]) <= bound + norm(want_error[:n])
+
+
+# ---------------------------------------------------------------------------
+# the two ends of the beta range, named: plain FJ as beta -> 0, and every
+# opinion pinned at its stubborn source as beta grows
+
+
+def limit_instance(g):
+    """Innate opinions and the source opinion each node follows, 60 % to M."""
+    s = sample_innate(g.n, 0.5, 0.2, seed=3)
+    src = source_opinions(s, 0.1)
+    return s, build_zeta(assign_media(g, 0.6, seed=4), src.z_M, src.z_Mprime)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_GRAPHS))
+def test_media_equilibrium_at_beta_1e_300_is_plain_fj(name):
+    g, tol = KERNEL_GRAPHS[name](), 1e-10
+    s, zeta = limit_instance(g)
+    system = MediaSystem(g, 1e-300)
+    report = equilibrium_with_media(system, s, zeta, tol=tol)
+    z0 = fj_equilibrium(g, s, tol=tol)
+    # each computed solution lies within its solve's proven bound of the
+    # exact one.  The exact ones differ by z - z0 = A^-1 W (zeta - z0), and
+    # every eigenvalue of A = I + W + L is at least 1: the limit's own term
+    # is at most ||W (zeta - z0)||, formed here on the computed z0
+    fj_error = solve_error(MediaSystem(g, 0.0).op, norm(s), norm(z0), tol)
+    w = system.weight
+    limit_term = ((1.0 + gamma_m(g.n + 3)) * norm(w * (zeta - z0))
+                  + float(w.max(initial=0.0)) * fj_error)
+    bound = (solve_error(system.op, report.rhs_norm, norm(report.solution), tol)
+             + fj_error + limit_term)
+    assert norm(report.solution - z0) <= bound
+
+
+@pytest.mark.parametrize("name", list(KERNEL_GRAPHS))
+def test_media_equilibrium_near_the_largest_beta_is_the_sources(name):
+    # the largest beta check_media_weight admits: beta (1 + d_max) is finite
+    g, tol = KERNEL_GRAPHS[name](), 1e-10
+    s, zeta = limit_instance(g)
+    d_max = g.stats.d_max
+    top = sys.float_info.max / (1.0 + d_max)
+    while not math.isfinite(top * (1.0 + d_max)):
+        top = math.nextafter(top, 0.0)
+    with pytest.raises(ValueError, match="beta"):  # an overflowing weight, or inf itself
+        MediaSystem(g, math.nextafter(top, math.inf))
+    # there ||b||_2 or p.Ap overflows, and the solve stops with that error;
+    # halving beta reaches one that solves within 2**-16 of the top (on
+    # these graphs 2**-2 to 2**-7), never a wrong number on the way
+    for halvings in range(17):
+        system = MediaSystem(g, math.ldexp(top, -halvings))
+        try:
+            report = equilibrium_with_media(system, s, zeta, tol=tol)
+            break
+        except (ValueError, ConvergenceError) as exc:
+            assert "too large" in str(exc)
+    else:
+        pytest.fail("no beta within 2**-16 of the largest admitted one solves")
+    # z - zeta = A^-1 (s - (I + L) zeta), and A >= (1 + min w) I: the
+    # limit's own term, formed with the rounding of (I + L) zeta
+    w, z = system.weight, report.solution
+    lap_zeta = g.degree * zeta - neighbor_sum(g, zeta)
+    defect = (norm(s - zeta - lap_zeta)
+              + gamma_m(g.longest_row + 4) * norm(s + zeta + 2.0 * g.degree * zeta))
+    limit_term = (1.0 + gamma_m(2)) * defect / (1.0 + float(w.min()))
+    bound = solve_error(system.op, report.rhs_norm, norm(z), tol) + limit_term
+    assert norm(z - zeta) <= bound
 
 
 # ---------------------------------------------------------------------------
