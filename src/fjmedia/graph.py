@@ -385,28 +385,35 @@ def _comments_start_lines(text: str) -> bool:
     return True
 
 
-# the bytes str.split splits at within a line: ASCII whitespace but the line end
+# the bytes str.split splits at within a line: ASCII whitespace but the line
+# end.  With the line ends of _skipped_lines it must split lines as
+# _load_lines' StringIO and _table_columns' TextIOWrapper do, or an error
+# names the wrong line
 _BLANK = np.array([c != "\n" and c.isspace() for c in map(chr, range(128))] + [False] * 128)
 
 
 def _skipped_lines(data: bytes, rows: int, head: int) -> np.ndarray:
     # the numbers of the comment and blank lines np.loadtxt skipped, in
     # order, when it read ``rows`` data lines from ``data`` and ``head``
-    # lines came before the first.  A count of the line ends shows whether
-    # any line after the first data line was skipped; only then are the
-    # lines scanned, all at once: each line's first byte past its blanks is
-    # '#' on a comment line and the line end on a blank one
-    if b"\r" in data:  # line ends as text mode reads them
+    # lines came before the first.  A line ends at LF; the CR of a CRLF is
+    # one more blank before it.  Only a lone CR, which text mode also ends
+    # a line at, costs a copy of the file.  A count of the lines (the line
+    # ends, and a last line without one) shows whether any line after the
+    # first data line was skipped (a header is the common case and is not
+    # scanned); only then are the lines scanned, all at once, with
+    # no loop over them: each line's first byte past its blanks is '#' on a
+    # comment line and the line end on a blank one.  A last line without a
+    # line end is not scanned: no data line follows it, so it moves no
+    # line number
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not data.endswith(b"\n"):
-        data += b"\n"
     chars = np.frombuffer(data, dtype=np.uint8)
     ends = chars == ord("\n")
-    if np.count_nonzero(ends) == head + rows:
+    if np.count_nonzero(ends) + (not data.endswith(b"\n")) == head + rows:
         return np.arange(1, head + 1)
     ends = np.flatnonzero(ends)
     first = np.empty(ends.size, dtype=np.int64)  # each line's first byte past its blanks
-    first[0], first[1:] = 0, ends[:-1] + 1
+    first[:1], first[1:] = 0, ends[:-1] + 1
     at = np.flatnonzero(_BLANK[chars[first]])
     while at.size:
         first[at] += 1

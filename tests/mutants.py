@@ -94,6 +94,17 @@ MUTANTS = [
     ("the table's skipped-line map off by one", "graph.py",
      '(lead == ord("\\n"))) + 1', '(lead == ord("\\n")))',
      ["tests/test_graph.py"]),
+    ("the skipped-line map without lone-CR line ends", "graph.py",
+     'if b"\\r" in data and data.count', 'if False and data.count',
+     ["tests/test_graph.py"]),
+    ("the skipped-line count without a last line that has no line end", "graph.py",
+     'np.count_nonzero(ends) + (not data.endswith(b"\\n")) == head + rows',
+     'np.count_nonzero(ends) == head + rows',
+     ["tests/test_graph.py"]),
+    ("a CRLF file copied for the skipped-line map", "graph.py",
+     'if b"\\r" in data and data.count(b"\\r") != data.count(b"\\r\\n"):',
+     'if b"\\r" in data:',
+     ["tests/test_harness.py::test_loading_a_file_graph_holds_no_bytes_and_no_ones"]),
     ("the table path names an edge by its relabelled ids", "graph.py",
      "raise _edge_error(line, exc, *file_ids[ids[k]])", "raise _edge_error(line, exc, *ids[k])",
      ["tests/test_graph.py"]),

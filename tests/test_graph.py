@@ -348,6 +348,9 @@ LOADER_CASES = [
     ("self-loop after a comment header", b"# c\n# d\n5 9\n9 7\n7 7\n", True),
     ("self-loop before a blank line", b"5 9\n\n9 9\n\n7 5\n", True),
     ("self-loop after lone-CR blank lines", b"5 9\r\r9 7\r \r7 7\r", True),
+    ("self-loop after CRLF blank lines", b"# c\r\n\r\n5 9\r\n \t\r\n9 7\r\n7 7\r\n", True),
+    ("self-loop after mixed line ends", b"5 9\r\n\r9 7\r\n \r\r\n7 7\n8 5\r", True),
+    ("self-loop, CRLF, no final line end", b"5 9\r\n  \r\n9 9", True),
     ("self-loop, no final line end", b"5 9\n\n9 9", True),
     ("self-loop, 2 and 3 columns", b"# c\n5 9\n\n9 7 2\n7 7\n", False),
     ("empty", b"", False),
