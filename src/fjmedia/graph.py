@@ -18,12 +18,15 @@ also forms their sorting permutation, to carry each entry's weight.
 Node ids are dense 0..n-1.  Only ``Graph`` knows the edge rules; ``load_edge_list``
 parses text, remaps ids by first appearance and names a rejected edge's line.
 The remap, too, is a value sort: each id is packed with its position, so
-the sorted values give what a stable argsort of the ids would.  A file that
-numpy parses as one table is built without its bytes, which are dropped once
-parsed, and without an array of unit weights, which is one broadcast 1.0 (a
-unit-weight degree is its row count).  That path words an edge error itself,
-from the file ids the remap returns and the comment and blank lines the parse
-skipped.
+the sorted values give what a stable argsort of the ids would.  A file's
+line ends are made LF once, as text mode reads them, before any parse;
+every step of the table path then reads those LF-only bytes, and only the
+line reader ``_load_lines``, the reference that path is tested against,
+keeps text mode's own line rules.  A file that numpy parses as one table is
+built without its bytes, which are dropped once parsed, and without an array
+of unit weights, which is one broadcast 1.0 (a unit-weight degree is its row
+count).  That path words an edge error itself, from the file ids the remap
+returns and the comment and blank lines the parse skipped.
 """
 
 from __future__ import annotations
@@ -283,31 +286,41 @@ def load_edge_list(path) -> Graph:
     line and its original ids.
 
     ``path`` is a file path, or a binary stream (anything with ``read``) that
-    is read to its end and left open.  The bytes are read once.  numpy first
-    parses them as one table, and once that parse has taken the whole file
-    the bytes are dropped: the graph is built from the table alone, and an
-    edge that breaks a rule is named from the table, with the file's ids and
-    a line number counted past the comment and blank lines the parse
-    skipped.  Only when the table parse cannot take the file does the line
-    reader parse the same bytes and word any error.
+    is read to its end and left open.  The bytes are read once, and each
+    CRLF or lone CR in them becomes an LF, once, before any parse: text mode
+    ends a line there too.  numpy first parses an ASCII file as one table,
+    and once that parse has taken the whole file the bytes are dropped: the
+    graph is built from the table alone, and an edge that breaks a rule is
+    named from the table, with the file's ids and a line number counted past
+    the comment and blank lines the parse skipped.  Only when the table
+    parse cannot take the file does the line reader parse the same bytes
+    and word any error.
     """
     with (nullcontext(path) if hasattr(path, "read") else open(path, "rb")) as fh:
         data = fh.read()
-    table = _parse_table(data)
+    if b"\r" in data:  # rebound, so the raw bytes go before the parse
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # numpy reads other bytes as Latin-1, the line reader as UTF-8
+    table = _parse_table(data) if data.isascii() else None
     if table is None:
         return _load_lines(data)
     del data  # the only reference: the graph is built without the file's bytes
     return _table_graph(*table)
 
 
+# the bytes str.split splits at within a line: ASCII whitespace but the LF
+# that ends it.  The table path splits at these alone, as bytes.split and a
+# bytes regex's \s miss \x1c-\x1f
+_BLANKS = bytes(c for c in range(128) if c != ord("\n") and chr(c).isspace())
+_BLANK = np.array([c in _BLANKS for c in range(256)])
 # the first line whose first token does not start with '#'
-_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
+_DATA_LINE = re.compile(b"^[%s]*[^%s\n#].*" % (_BLANKS, _BLANKS), re.MULTILINE)
 
 
 def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    # the whole file through np.loadtxt: its ids in file order, u0 v0 u1 v1
-    # ..., its weights and the numbers of the lines it skipped; or None to
-    # leave the file to _load_lines
+    # the whole of the LF-only ASCII ``data`` through np.loadtxt: its ids in
+    # file order, u0 v0 u1 v1 ..., its weights and the numbers of the lines
+    # it skipped; or None to leave the file to _load_lines
     ncols, head = _table_columns(data)
     if not ncols:
         return None
@@ -315,9 +328,7 @@ def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | Non
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. a float read into an id
-            # text-mode line ends: over raw bytes a comment runs on past a lone CR
-            stream = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None)
-            table = np.loadtxt(stream, dtype=dtype, ndmin=1)
+            table = np.loadtxt(io.BytesIO(data), dtype=dtype, ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
     if ncols == 2:
@@ -356,57 +367,41 @@ def _edge_error(line: int, exc: _EdgeError, a, b) -> ValueError:
 
 def _table_columns(data: bytes) -> tuple[int, int]:
     # (2 or 3, the lines before the first data line) when np.loadtxt would
-    # read the file as _load_lines does, else (0, 0): loadtxt misreads some
-    # non-ASCII digits as ASCII ones, and it cuts an inline '#' where the
-    # line reader rejects the line
-    if not data.isascii():
-        return 0, 0  # the line reader also reports an undecodable line
-    # lines end as text mode ends them, at a CRLF or a lone CR too
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None).read()
-    if not _comments_start_lines(text):
+    # read the file as _load_lines does, else (0, 0): loadtxt cuts an inline
+    # '#' where the line reader rejects the line
+    if not _comments_start_lines(data):
         return 0, 0
-    first = _DATA_LINE.search(text)
-    ncols = len(first.group().split()) if first else 0
+    first = _DATA_LINE.search(data)
+    # str.split, not bytes.split: it splits at every byte of _BLANKS
+    ncols = len(first.group().decode().split()) if first else 0
     if ncols not in (2, 3):
         return 0, 0
-    return ncols, text.count("\n", 0, first.start())
+    return ncols, data.count(b"\n", 0, first.start())
 
 
-def _comments_start_lines(text: str) -> bool:
+def _comments_start_lines(data: bytes) -> bool:
     # is every '#' on a line that has nothing but blanks before its first '#'?
-    pos = text.find("#")
+    pos = data.find(b"#")
     while pos >= 0:
-        if text[text.rfind("\n", 0, pos) + 1:pos].strip():
+        if data[data.rfind(b"\n", 0, pos) + 1:pos].strip(_BLANKS):
             return False
-        end = text.find("\n", pos)
+        end = data.find(b"\n", pos)
         if end < 0:
             return True
-        pos = text.find("#", end)
+        pos = data.find(b"#", end)
     return True
-
-
-# the bytes str.split splits at within a line: ASCII whitespace but the line
-# end.  With the line ends of _skipped_lines it must split lines as
-# _load_lines' StringIO and _table_columns' TextIOWrapper do, or an error
-# names the wrong line
-_BLANK = np.array([c != "\n" and c.isspace() for c in map(chr, range(128))] + [False] * 128)
 
 
 def _skipped_lines(data: bytes, rows: int, head: int) -> np.ndarray:
     # the numbers of the comment and blank lines np.loadtxt skipped, in
     # order, when it read ``rows`` data lines from ``data`` and ``head``
-    # lines came before the first.  A line ends at LF; the CR of a CRLF is
-    # one more blank before it.  Only a lone CR, which text mode also ends
-    # a line at, costs a copy of the file.  A count of the lines (the line
-    # ends, and a last line without one) shows whether any line after the
-    # first data line was skipped (a header is the common case and is not
-    # scanned); only then are the lines scanned, all at once, with
-    # no loop over them: each line's first byte past its blanks is '#' on a
-    # comment line and the line end on a blank one.  A last line without a
-    # line end is not scanned: no data line follows it, so it moves no
-    # line number
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # lines came before the first.  A count of the lines (the LFs, and a
+    # last line without one) shows whether any line after the first data
+    # line was skipped (a header is the common case and is not scanned);
+    # only then are the lines scanned, all at once, with no loop over them:
+    # each line's first byte past its blanks is '#' on a comment line and
+    # the LF on a blank one.  A last line without an LF is not scanned: no
+    # data line follows it, so it moves no line number
     chars = np.frombuffer(data, dtype=np.uint8)
     ends = chars == ord("\n")
     if np.count_nonzero(ends) + (not data.endswith(b"\n")) == head + rows:

@@ -392,14 +392,16 @@ _MIDDLE = "\n# the second half\n"  # the skipped-line map then scans every line
 
 @pytest.mark.parametrize("header, middle, newline", [
     ("", "", "\n"), (_HEADER, "", "\n"), (_HEADER, _MIDDLE, "\n"), (_HEADER, _MIDDLE, "\r\n"),
-], ids=["plain", "comment header", "lines skipped among the edges", "CRLF, lines skipped"])
+    (_HEADER, "", "\r"), (_HEADER, _MIDDLE, "\r"),
+], ids=["plain", "comment header", "lines skipped among the edges", "CRLF, lines skipped",
+        "lone CR, comment header", "lone CR, lines skipped"])
 def test_loading_a_file_graph_holds_no_bytes_and_no_ones(tmp_path, header, middle, newline):
     # the ingest peak is the table, the sort keys and the head, 16 bytes per
     # edge each; the graph keeps the head, edge_u and edge_v, 32 bytes per
     # edge, and its unit weights as one broadcast 1.0.  Each bound allows 12
     # int64 per node at the peak and 2 kept beside them (the degree): the
-    # file's bytes (about 10 per edge here), a copy of them made to read a
-    # CRLF file's lines, or an array of ones (8) breaks it
+    # file's bytes (about 10 per edge here), its raw bytes kept beside their
+    # LF-only copy, or an array of ones (8) breaks it
     path = tmp_path / "circulant.edges"
     n, m = _circulant_file(path, header, middle, newline)
     config = ExperimentConfig(mode="bounds", graph=GraphSpec(kind="file", path=str(path)),
