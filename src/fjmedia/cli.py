@@ -98,14 +98,14 @@ def _cmd_generate(args) -> int:
     if args.gen is None:  # generate has no --graph
         raise ValueError("need --gen")
     spec = _graph_spec(args)
-    graph = spec.build(args.seed)
+    lo, hi = spec._edges(args.seed)
     params = " ".join(f"{k}={v}" for k, v in spec.describe())
     comment = f"fjmedia generate: {params} seed={args.seed}"
     if args.out:
-        write_edge_list(graph, args.out, comment=comment)
-        print(f"wrote {graph.n} nodes / {graph.m} edges to {args.out}")
+        write_edge_list(lo, hi, 1.0, args.out, comment=comment)
+        print(f"wrote {spec.n} nodes / {len(lo)} edges to {args.out}")
     else:
-        write_edge_list(graph, sys.stdout, comment=comment)
+        write_edge_list(lo, hi, 1.0, sys.stdout, comment=comment)
     return 0
 
 

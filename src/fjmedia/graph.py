@@ -1,30 +1,33 @@
 """Weighted undirected graphs with matrix-free Laplacian products.
 
-A graph is stored as flat edge arrays (one row per undirected edge), a
-precomputed weighted degree vector, and the symmetrised adjacency split in
-two, both built once from one sort.  With K the smallest row length, the
-*head* is a (K, n) ELLPACK block whose column i holds node i's K smallest
-neighbour ids; the *tail* holds the rest of each longer row, row by row
-(Saad, *Iterative Methods for Sparse Linear Systems*, section 3.4; the split
-is that of SELL-C-sigma).  ``neighbor_sum`` adds the head one row of n
-gathers at a time, left to right, and then each tail row with one
-``np.add.reduceat``: a regular graph has no tail, and a graph with an
-isolated node has K = 0 and no head.  ``neighbor_sum`` takes ``out=`` so a
-solver can reuse its vectors.  Per-entry weights are stored only when some weight is
-not exactly 1.0, so a unit-weight graph skips the weight multiply.  Its
-adjacency keys are then sorted by value, in place; only a weighted graph
-also forms their sorting permutation, to carry each entry's weight.
+A graph is stored as its weighted degree vector and its symmetrised
+adjacency, split in two and built once from one sort of the edges it is
+given; the edge arrays themselves are read at construction and not kept.
+With K the smallest row length, the *head* is a (K, n) ELLPACK block whose
+column i holds node i's K smallest neighbour ids; the *tail* holds the rest
+of each longer row, row by row (Saad, *Iterative Methods for Sparse Linear
+Systems*, section 3.4; the split is that of SELL-C-sigma).  ``neighbor_sum``
+adds the head one row of n gathers at a time, left to right, and then each
+tail row with one ``np.add.reduceat``: a regular graph has no tail, and a
+graph with an isolated node has K = 0 and no head.  ``neighbor_sum`` takes
+``out=`` so a solver can reuse its vectors.  Per-entry weights are stored
+only when some weight is not exactly 1.0, so a unit-weight graph skips the
+weight multiply.  Its adjacency keys are then sorted by value, in place;
+only a weighted graph also forms their sorting permutation, to carry each
+entry's weight.  An edge list lives only where it is made and written: the
+generators' edge producers give (lo, hi) arrays that ``fjmedia generate``
+writes in the order they were made.
 
-Node ids are dense 0..n-1.  Only ``Graph`` knows the edge rules; ``load_edge_list``
-parses text, remaps ids by first appearance and names a rejected edge's line.
-The remap, too, is a value sort: each id is packed with its position, so
-the sorted values give what a stable argsort of the ids would.  A file's
-line ends are made LF once, as text mode reads them, before any parse;
-every step of the table path then reads those LF-only bytes, and only the
-line reader ``_load_lines``, the reference that path is tested against,
-keeps text mode's own line rules.  A file that numpy parses as one table is
-built without its bytes, which are dropped once parsed, and without an array
-of unit weights, which is one broadcast 1.0 (a unit-weight degree is its row
+Node ids are dense 0..n-1.  Only ``Graph`` knows the edge rules;
+``load_edge_list`` parses text, remaps ids by first appearance and names a
+rejected edge's line.  The remap, too, is a value sort: each id is packed
+with its position, so the sorted values give what a stable argsort of the
+ids would.  A file's line ends are made LF once, as text mode reads them,
+before any parse; every step of the table path then reads those LF-only
+bytes, and only the line reader ``_load_lines``, the reference that path is
+tested against, keeps text mode's own line rules.  A file that numpy parses
+as one table is built without its bytes, which are dropped once parsed, and
+with its unit weights as a scalar 1.0 (a unit-weight degree is its row
 count).  That path words an edge error itself, from the file ids the remap
 returns and the comment and blank lines the parse skipped.
 """
@@ -35,7 +38,7 @@ import io
 import re
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -77,10 +80,12 @@ class GraphStats:
 class Graph:
     """Immutable weighted undirected graph.
 
-    Edges are stored once with ``edge_u[k] < edge_v[k]``; the degree vector and
-    the symmetrised adjacency are derived at construction.  With K the
-    smallest row length, ``head`` is a (K, n) array whose ``head[k, i]`` is
-    node i's k-th smallest neighbour id.  ``tail`` holds the remaining
+    ``Graph(n, edge_u, edge_v, edge_w)`` takes edge k as ``edge_u[k]``-``edge_v[k]``
+    with weight ``edge_w[k]`` (``edge_w`` may be one scalar weight for every
+    edge), checks the edge rules and keeps only what is derived from the
+    edges: the weighted degree vector and the symmetrised adjacency.  With K
+    the smallest row length, ``head`` is a (K, n) array whose ``head[k, i]``
+    is node i's k-th smallest neighbour id.  ``tail`` holds the remaining
     neighbours of every row longer than K, row by row and sorted by id.
     ``tail_rows`` lists the nodes that have tail entries, in id order, and
     ``tail_starts`` the offsets of their runs in ``tail``; each run ends
@@ -94,9 +99,9 @@ class Graph:
     """
 
     n: int
-    edge_u: np.ndarray
-    edge_v: np.ndarray
-    edge_w: np.ndarray
+    edge_u: InitVar[np.ndarray]
+    edge_v: InitVar[np.ndarray]
+    edge_w: InitVar[np.ndarray | float]
     degree: np.ndarray = field(init=False)
     head: np.ndarray = field(init=False, repr=False)
     head_w: np.ndarray | None = field(init=False, repr=False)
@@ -106,18 +111,12 @@ class Graph:
     tail_starts: np.ndarray = field(init=False, repr=False)
     longest_row: int = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, edge_u, edge_v, edge_w) -> None:
         n = self.n
         if n < 1:
             raise ValueError("graph needs at least one node")
-        u = np.asarray(self.edge_u, dtype=np.int64).reshape(-1)  # read, never kept
-        v = np.asarray(self.edge_v, dtype=np.int64).reshape(-1)
-        # reshape, not ravel: unit weights may come as one broadcast 1.0,
-        # which ravel would copy into an array of ones
-        w = np.asarray(self.edge_w, dtype=np.float64).reshape(-1)
+        u, v, w = _edge_arrays(edge_u, edge_v, edge_w)  # read, never kept
         m = u.size
-        if not (m == v.size == w.size):
-            raise ValueError("edge arrays must have identical length")
         if m and not (min(u.min(), v.min()) >= 0 and max(u.max(), v.max()) < n
                       and not np.any(u == v)
                       and not (np.any(~np.isfinite(w)) or np.any(w <= 0))):
@@ -167,15 +166,16 @@ class Graph:
         tail_rows = np.flatnonzero(tail_len)
         tail_starts = (np.cumsum(tail_len) - tail_len)[tail_rows]
         del tail_len
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
         if unit:  # a sum of ones is exact: the weighted sums give these bits
             deg = counts.astype(np.float64)
         else:
+            # summed over the edges a node is the lower end of, then the
+            # upper end: the same bits whichever way round an edge is given
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
             deg = (np.bincount(lo, weights=w, minlength=n)
                    + np.bincount(hi, weights=w, minlength=n))
-        stored = (("edge_u", lo), ("edge_v", hi), ("edge_w", w), ("degree", deg),
-                  ("head", head), ("tail", tail), ("head_w", head_w), ("tail_w", tail_w),
-                  ("tail_rows", tail_rows), ("tail_starts", tail_starts))
+        stored = (("degree", deg), ("head", head), ("tail", tail), ("head_w", head_w),
+                  ("tail_w", tail_w), ("tail_rows", tail_rows), ("tail_starts", tail_starts))
         for name, arr in stored:
             if arr is not None:
                 arr.setflags(write=False)
@@ -196,7 +196,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return int(self.edge_u.size)
+        return (self.head.size + self.tail.size) // 2  # each edge is two entries
 
     @cached_property
     def stats(self) -> GraphStats:
@@ -210,6 +210,18 @@ class Graph:
             d_max=d_max,
             is_regular=bool(regular),
         )
+
+
+def _edge_arrays(edge_u, edge_v, edge_w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the edges as flat arrays of one length; one weight for every edge is
+    # broadcast, and reshape, unlike ravel, copies no broadcast array
+    u = np.asarray(edge_u, dtype=np.int64).reshape(-1)
+    v = np.asarray(edge_v, dtype=np.int64).reshape(-1)
+    w = np.asarray(edge_w, dtype=np.float64)
+    w = np.broadcast_to(w, u.shape) if w.ndim == 0 else w.reshape(-1)
+    if not (u.size == v.size == w.size):
+        raise ValueError("edge arrays must have identical length")
+    return u, v, w
 
 
 class _EdgeError(ValueError):
@@ -317,7 +329,7 @@ _BLANK = np.array([c in _BLANKS for c in range(256)])
 _DATA_LINE = re.compile(b"^[%s]*[^%s\n#].*" % (_BLANKS, _BLANKS), re.MULTILINE)
 
 
-def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray | float, np.ndarray] | None:
     # the whole of the LF-only ASCII ``data`` through np.loadtxt: its ids in
     # file order, u0 v0 u1 v1 ..., its weights and the numbers of the lines
     # it skipped; or None to leave the file to _load_lines
@@ -333,7 +345,7 @@ def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | Non
         return None
     if ncols == 2:
         ids = table.view(np.int64)  # u0 v0 u1 v1 ...: two int64 fields, no padding
-        w = np.broadcast_to(1.0, table.size)  # read-only: no array of ones
+        w = 1.0  # one weight for every edge: no array of ones
     else:
         ids = np.empty(2 * table.size, dtype=np.int64)
         ids[0::2], ids[1::2] = table["u"], table["v"]
@@ -344,7 +356,7 @@ def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | Non
     return ids, w, _skipped_lines(data, ids.size // 2, head)
 
 
-def _table_graph(ids: np.ndarray, w: np.ndarray, skipped: np.ndarray) -> Graph:
+def _table_graph(ids: np.ndarray, w: np.ndarray | float, skipped: np.ndarray) -> Graph:
     # the graph of a parsed table; an edge that breaks a rule is named as
     # _load_lines names it, by its line and the file's ids
     file_ids = _relabel_by_first_appearance(ids)
@@ -505,18 +517,20 @@ def _load_lines(data: bytes) -> Graph:
         raise _edge_error(lines[k], exc, label[us[k]], label[vs[k]]) from None
 
 
-def write_edge_list(graph: Graph, path, comment: str | None = None) -> None:
-    """Write ``u v w`` lines (0-based ids), optionally preceded by a comment.
+def write_edge_list(edge_u, edge_v, edge_w, path, comment: str | None = None) -> None:
+    """Write one ``u v w`` line per edge (0-based ids), optionally preceded by a comment.
 
-    ``path`` is a file path, or a text stream (anything with ``write``) that
-    is written to and left open.
+    The edges are given as :class:`Graph` takes them (a graph keeps none),
+    and written in that order.  ``path`` is a file path, or a text stream
+    (anything with ``write``) that is written to and left open.
     """
+    u, v, w = _edge_arrays(edge_u, edge_v, edge_w)
     with (nullcontext(path) if hasattr(path, "write")
           else open(path, "w", encoding="utf-8", newline="\n")) as fh:
         if comment:
             for line in comment.splitlines():
                 fh.write(f"# {line}\n")
-        for a, b, c in zip(graph.edge_u, graph.edge_v, graph.edge_w):
+        for a, b, c in zip(u, v, w):
             fh.write(f"{int(a)} {int(b)} {c:.17g}\n")
 
 
@@ -535,6 +549,16 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
     edges and their order depend on the seed alone.  The urn must stay below
     2**32 entries: at that size the two int64 edge arrays alone take 32 GiB.
 
+    Edge count is m(m-1)/2 + (n-m)m.
+    """
+    return Graph(n, *_ba_edges(n, m, seed), 1.0)
+
+
+def _ba_edges(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of ``gen_barabasi_albert(n, m, seed)`` as (targets, sources),
+    each target below its source: the K_m core row by row, then each node's
+    m targets in the order drawn.
+
     The urn is never built.  Before node j draws, it holds
     ``m(m-1) + 2m(j-m)`` entries: m-1 for each core node, then for each
     earlier node its m picks followed by m copies of itself, so arithmetic
@@ -548,9 +572,7 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
     node is drawn by itself, and the next block starts after it.  Blocks
     grow while they run clean; where repeats come close together (small j,
     large m), nodes are drawn one at a time.  Either way every seed gives
-    the graph the plain urn loop gives, edge for edge.
-
-    Edge count is m(m-1)/2 + (n-m)m.
+    the edges the plain urn loop gives, edge for edge.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -613,7 +635,7 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Graph:
                     at += 1
         run = run + 1 if asked == 1 else run // 2
         j += 1
-    return Graph(n, targets, sources, np.ones(edges))
+    return targets, sources
 
 
 def _draw_block(rng: np.random.Generator, picks: np.ndarray, m: int, j: int,
@@ -672,6 +694,12 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     returned, edges in row-major order.  Unit weights; deterministic for a
     fixed seed.  ``n*d`` must be even and ``d < n``.
     """
+    return Graph(n, *_regular_edges(n, d, seed), 1.0)
+
+
+def _regular_edges(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of ``gen_random_regular(n, d, seed)`` as (lo, hi), lo < hi
+    on each: in pairing order, or row-major for a complement."""
     if d < 0:
         raise ValueError("d must be >= 0")
     if d >= n:
@@ -691,7 +719,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
         keep = np.triu(np.ones((n, n), dtype=bool), 1)
         keep[u, v] = False
         u, v = np.nonzero(keep)
-    return Graph(n, u, v, np.ones(u.size))
+    return u, v
 
 
 def _pairing_attempt(rng, n: int, d: int):

@@ -19,7 +19,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .graph import Graph, gen_barabasi_albert, gen_random_regular, load_edge_list
+from .graph import (Graph, _ba_edges, _regular_edges, gen_barabasi_albert, gen_random_regular,
+                    load_edge_list)
 from .media import (MediaConfig, MediaSystem, assign_media, build_zeta,
                     equilibrium_with_media, source_opinions)
 from .nonstubborn import nonstubborn_equilibrium
@@ -83,6 +84,13 @@ class GraphSpec:
         if self.kind == "ba":
             return gen_barabasi_albert(self.n, self.m, seed)
         return gen_random_regular(self.n, self.d, seed)
+
+    def _edges(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        # a generated spec's edge arrays in the order its generator makes
+        # them, which ``fjmedia generate`` writes: a graph keeps no edge list
+        if self.kind == "ba":
+            return _ba_edges(self.n, self.m, seed)
+        return _regular_edges(self.n, self.d, seed)
 
     def describe(self) -> list[tuple[str, str]]:
         return [("graph.kind", self.kind)] + [

@@ -4,11 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis.vendor import pretty
 
 from fjmedia import numerics
 
 # make oracles.py importable regardless of how pytest was invoked
 sys.path.insert(0, str(Path(__file__).parent))
+
+# hypothesis prints a dataclass argument field by field, reading every
+# argument of its __init__ as an attribute; a Graph's edge arrays are
+# arguments it does not keep, so a Graph is printed by its repr
+pretty.for_type_by_name("fjmedia.graph", "Graph", lambda graph, p, cycle: p.text(repr(graph)))
 
 
 @pytest.fixture(autouse=True)

@@ -28,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 PROPERTIES = "tests/test_properties.py::"
+# each graph's layout against the edges it was built from
+LAYOUT = "tests/test_graph.py::test_a_generated_layout_is_the_sorted_input_edges"
 
 # (name, file under src/fjmedia, exact old text, new text, pytest selector)
 MUTANTS = [
@@ -115,8 +117,22 @@ MUTANTS = [
      "raise _edge_error(line, exc, *file_ids[ids[k]])", "raise _edge_error(line, exc, *ids[k])",
      ["tests/test_graph.py"]),
     ("a unit-weight table given an array of ones", "graph.py",
-     "w = np.broadcast_to(1.0, table.size)", "w = np.ones(table.size)",
+     "w = 1.0  # one weight for every edge: no array of ones", "w = np.ones(table.size)",
      ["tests/test_harness.py::test_loading_a_file_graph_holds_no_bytes_and_no_ones"]),
+    ("a head row read one sorted entry late", "graph.py",
+     "            head[k] = keys[at]",
+     "            head[k] = keys[np.minimum(at + 1, keys.size - 1)]",
+     [LAYOUT]),
+    ("tail weights not carried by the sort's permutation", "graph.py",
+     "tail_w = None if unit else w[order[in_tail]]",
+     "tail_w = None if unit else w[np.flatnonzero(in_tail) % m]",
+     [LAYOUT]),
+    ("the edge count read from the head alone", "graph.py",
+     "return (self.head.size + self.tail.size) // 2", "return self.head.size // 2",
+     [LAYOUT]),
+    ("generate writes the edges in id order, not the generator's", "cli.py",
+     "lo, hi = spec._edges(args.seed)", "lo, hi = zip(*sorted(zip(*spec._edges(args.seed))))",
+     ["tests/test_cli.py::test_generate_bytes_are_pinned"]),
     ("the right-hand side solved unscaled", "numerics.py",
      "k = 1 - math.frexp(b_max)[1] if math.isfinite(b_max) else 0", "k = 0",
      ["tests/test_numerics.py"]),

@@ -3,6 +3,10 @@
 Everything here is built naively from the edge tuple list and solved with
 numpy.linalg, on purpose: these are the oracles the matrix-free code paths
 get checked against, so they must not share any machinery with the package.
+A graph keeps no edge list, so ``edge_tuples`` reads its edges back from
+its layout; ``input_adjacency`` builds the dense adjacency from the arrays
+a graph is given instead, and ``assert_layout_is`` holds a graph's layout
+against it, which ties every dense oracle to the edges a graph was built from.
 ``mmatrix_solve`` is the one solve not from numpy.linalg: a dense elimination
 that stays accurate to rounding where a dense LU loses the system to cancellation.
 ``plain_cg``, the reference for the solver's own iterates, touches the
@@ -15,15 +19,15 @@ import numpy as np
 
 
 def edge_tuples(graph):
-    """The graph's edges as ``(u, v, w)`` tuples of Python numbers, in input order."""
-    return [(int(u), int(v), float(w))
-            for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w)]
+    """The graph's edges as ``(u, v, w)`` tuples of Python numbers with u < v,
+    in id order, read from its layout through ``neighbors``."""
+    return [(i, j, w) for i in range(graph.n) for j, w in neighbors(graph, i) if i < j]
 
 
 def neighbors(graph, i):
     """Node ``i``'s ``(neighbour, weight)`` pairs as the graph stores them:
-    its head column, then its tail run.  Not an oracle: ``test_graph`` holds
-    this read of the layout against ``adjacency``."""
+    its head column, then its tail run.  Not an oracle: ``assert_layout_is``
+    holds this read of the layout against the edges the graph was given."""
     if not 0 <= i < graph.n:
         raise ValueError(f"node {i} out of range")
     k = int(np.searchsorted(graph.tail_rows, i))
@@ -37,6 +41,32 @@ def neighbors(graph, i):
     else:
         weights = np.concatenate([graph.head_w[:, i], graph.tail_w[rest]])
     return [(int(j), float(w)) for j, w in zip(ids, weights)]
+
+
+def input_adjacency(n, u, v, w):
+    """The dense adjacency of the edges ``Graph(n, u, v, w)`` is given, from
+    those arrays alone: edge k joins u[k] and v[k] with weight w[k], or with
+    ``w`` on every edge when it is one number."""
+    W = np.zeros((n, n))
+    w = np.broadcast_to(np.asarray(w, dtype=float), np.shape(u))
+    for a, b, c in zip(np.asarray(u).tolist(), np.asarray(v).tolist(), w.tolist()):
+        W[a, b] += c
+        W[b, a] += c
+    return W
+
+
+def assert_layout_is(graph, W):
+    """Assert that each node's row of ``graph`` is its row of the dense
+    adjacency ``W``, sorted by id: the first K entries in the head, K the
+    shortest row, the rest in the tail, and ``m`` half the entries."""
+    row_lengths = np.count_nonzero(W, axis=1)
+    k = int(row_lengths.min())
+    assert graph.head.shape == (k, graph.n)
+    assert graph.tail.size == row_lengths.sum() - k * graph.n
+    assert graph.longest_row == row_lengths.max()
+    assert graph.m == row_lengths.sum() // 2
+    for i in range(graph.n):
+        assert neighbors(graph, i) == [(int(j), float(W[i, j])) for j in np.flatnonzero(W[i])]
 
 
 def adjacency(graph):

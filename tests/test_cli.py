@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -52,6 +53,29 @@ def test_generate_to_file_roundtrips(tmp_path, capsys):
     g = load_edge_list(str(path))
     assert g.n == 30
     assert g.m == 2 * 28 + 1  # K_2 core, then m edges per newcomer
+
+
+# sha256 of the files `fjmedia generate` wrote at 0.1.18, when a graph still
+# kept its edge arrays: generate writes each generator's edges in the order
+# it makes them.  The BA files are the ones CI pins; d = 56 > (n - 1) / 2
+# is written through the complement, in row-major order
+GENERATE_DIGESTS = [
+    ("dreg", "20", "500", "1", "affa683437428c9be630d31d2cbb43e175b09e055f6e1439d04ee72487fa04e8"),
+    ("dreg", "56", "60", "0", "a48d56d29cf7ddfc6e72cd6232c2dd8d69481ee72a2826bb89607e7ebfd21f17"),
+    ("ba", "3", "20000", "0", "86894d5a60fb59dda2c56f07eb69eba23e0770523f24349af1285faadd58043f"),
+    ("ba", "40", "2000", "3", "db248ce1b888ec7fb2cb9de64f736224eb25ae26272edb621754aa091910cb4e"),
+]
+
+
+@pytest.mark.parametrize("gen, k, n, seed, digest", GENERATE_DIGESTS,
+                         ids=[f"{g}-n{n}-k{k}-seed{s}" for g, k, n, s, _ in GENERATE_DIGESTS])
+def test_generate_bytes_are_pinned(tmp_path, capsys, gen, k, n, seed, digest):
+    path = tmp_path / "net.edges"
+    flag = "--m" if gen == "ba" else "--d"
+    code, out, _ = run_cli(capsys, "generate", "--gen", gen, "--n", n, flag, k,
+                           "--seed", seed, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_generate_deterministic(tmp_path, capsys):

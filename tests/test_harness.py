@@ -8,7 +8,7 @@ import pytest
 import fjmedia
 import fjmedia.graph as graph_module
 from fjmedia import (CSV_COLUMNS, MODES, ExperimentConfig, GraphSpec,
-                     config_from_manifest, gen_barabasi_albert, rows_to_csv,
+                     config_from_manifest, rows_to_csv,
                      load_edge_list, run_experiment, sample_innate, write_edge_list)
 
 
@@ -289,9 +289,20 @@ def test_output_failure_leaves_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_failed_manifest_write_removes_the_csv(tmp_path):
+    # the CSV is written first; a manifest path that is a directory fails
+    # the second write, and the CSV goes with it
+    out = tmp_path / "run.csv"
+    (tmp_path / "run.csv.manifest").mkdir()
+    with pytest.raises(OSError):
+        run_experiment(dreg_config(output=str(out)))
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv.manifest"]
+
+
 def _edge_file(tmp_path):
     path = tmp_path / "net.edges"
-    write_edge_list(gen_barabasi_albert(25, 2, seed=4), str(path))
+    write_edge_list(*graph_module._ba_edges(25, 2, 4), 1.0, str(path))
     return path
 
 
@@ -397,11 +408,12 @@ _MIDDLE = "\n# the second half\n"  # the skipped-line map then scans every line
         "lone CR, comment header", "lone CR, lines skipped"])
 def test_loading_a_file_graph_holds_no_bytes_and_no_ones(tmp_path, header, middle, newline):
     # the ingest peak is the table, the sort keys and the head, 16 bytes per
-    # edge each; the graph keeps the head, edge_u and edge_v, 32 bytes per
-    # edge, and its unit weights as one broadcast 1.0.  Each bound allows 12
-    # int64 per node at the peak and 2 kept beside them (the degree): the
-    # file's bytes (about 10 per edge here), its raw bytes kept beside their
-    # LF-only copy, or an array of ones (8) breaks it
+    # edge each; the graph keeps the head, 16 bytes per edge, and neither
+    # its edge arrays nor its unit weights, which are one scalar 1.0.  Each
+    # bound allows 12 int64 per node at the peak and 2 kept beside them (the
+    # degree): the file's bytes (about 10 per edge here), its raw bytes kept
+    # beside their LF-only copy, an array of ones (8) or a kept edge array
+    # (8) breaks it
     path = tmp_path / "circulant.edges"
     n, m = _circulant_file(path, header, middle, newline)
     config = ExperimentConfig(mode="bounds", graph=GraphSpec(kind="file", path=str(path)),
@@ -420,7 +432,7 @@ def test_loading_a_file_graph_holds_no_bytes_and_no_ones(tmp_path, header, middl
         tracemalloc.stop()
     assert graph.m == m and graph.n == n
     assert peak <= 48 * m + 96 * n, f"ingest peak {peak / m:.1f} bytes per edge"
-    assert kept <= 32 * m + 16 * n, f"graph keeps {kept / m:.1f} bytes per edge"
+    assert kept <= 16 * m + 16 * n, f"graph keeps {kept / m:.1f} bytes per edge"
 
 
 @pytest.mark.parametrize("key", ["mode", "graph.kind", "graph.n", "graph.d", "graph.path",
@@ -443,6 +455,13 @@ def test_manifest_round_trip_epsilon_none(tmp_path):
     assert manifest.get("epsilon") == _fmt_float(10.0 / 40.0)
     manifest2, _ = run_experiment(config_from_manifest(manifest.text()))
     assert manifest2.text() == manifest.text()
+
+
+def test_manifest_blank_lines_and_lines_without_equals_are_skipped():
+    text = run_experiment(dreg_config(repetitions=1))[0].text()
+    padded = "\n   \n" + text.replace("mode =", "a line with no equals sign\n\nmode =")
+    assert padded.count("\n") == text.count("\n") + 4
+    assert config_from_manifest(padded) == config_from_manifest(text)
 
 
 @pytest.mark.parametrize("value", ["", "1e-12"])

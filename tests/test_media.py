@@ -277,6 +277,16 @@ def test_sum_bounds_rejects_truncated():
                    MediaConfig(alpha=1.0, beta=0.5, gamma=0.1))
 
 
+def test_sum_bounds_refuses_bounds_that_overflow():
+    # beta (1 + d_max) = 1.5e308 is admitted, but times a swing of 1.8 the
+    # bounds pass the float range
+    g = gen_random_regular(4, 2, seed=0)
+    config = MediaConfig(alpha=1.0, beta=0.5e308, gamma=0.8)
+    MediaSystem(g, config.beta)  # the media weight itself is in range
+    with pytest.raises(ValueError, match="^beta 5e[+]307 is too large: the sum bounds overflow$"):
+        sum_bounds(g, np.full(4, 0.5), config)
+
+
 def test_sum_bounds_nonregular_has_no_exact():
     g = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0)])
     b = sum_bounds(g, np.full(4, 0.4), MediaConfig(0.5, 0.5, 0.05))

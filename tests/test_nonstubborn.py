@@ -5,6 +5,7 @@ from fjmedia import (ExperimentConfig, Graph, GraphSpec, MediaConfig, fj_equilib
                      gen_barabasi_albert, gen_random_regular, nonstubborn_equilibrium,
                      source_opinions)
 import fjmedia.nonstubborn as nonstubborn_module
+from fjmedia.graph import _ba_edges
 from oracles import adjacency, edge_tuples, fj_matrix
 from oracles import solve as dense_solve
 
@@ -121,7 +122,7 @@ def test_matches_dense_oracle_on_augmented_graph(beta):
     rng = np.random.default_rng(12)
     graphs = [gen_barabasi_albert(30, 2, seed=seed) for seed in range(5)]
     # node 30 has no neighbours, only its media edge of weight beta
-    graphs.append(Graph(31, graphs[0].edge_u, graphs[0].edge_v, graphs[0].edge_w))
+    graphs.append(Graph(31, *_ba_edges(30, 2, 0), 1.0))
     for g in graphs:
         s = rng.uniform(0.0, 0.8, g.n)
         config = MediaConfig(1.0, beta, 0.05)

@@ -9,6 +9,7 @@ from fjmedia import (ConvergenceError, DiagPlusLaplacianOperator, ExperimentConf
                      Graph, GraphSpec, MediaSystem, SolveReport, gen_barabasi_albert,
                      gen_random_regular, load_edge_list, neighbor_sum,
                      numerics, run_experiment, solve_spd)
+from fjmedia.graph import _ba_edges
 from graph_cases import KERNEL_GRAPHS
 from oracles import adjacency, media_matrix, neighbors, plain_cg
 from oracles import laplacian as dense_laplacian
@@ -395,9 +396,9 @@ def test_a_bound_too_small_is_caught_by_the_residual_hook(monkeypatch, residual_
 
 
 def _wide_weights():
-    g = gen_barabasi_albert(200, 3, seed=5)
-    weights = 10.0 ** np.random.default_rng(0).uniform(-6.0, 6.0, g.m)
-    return Graph(g.n, g.edge_u, g.edge_v, weights)
+    lo, hi = _ba_edges(200, 3, 5)
+    weights = 10.0 ** np.random.default_rng(0).uniform(-6.0, 6.0, lo.size)
+    return Graph(200, lo, hi, weights)
 
 
 EDGE_GRAPHS = {
