@@ -18,18 +18,23 @@ entry's weight.  An edge list lives only where it is made and written: the
 generators' edge producers give (lo, hi) arrays that ``fjmedia generate``
 writes in the order they were made.
 
-Node ids are dense 0..n-1.  Only ``Graph`` knows the edge rules;
-``load_edge_list`` parses text, remaps ids by first appearance and names a
-rejected edge's line.  The remap, too, is a value sort: each id is packed
-with its position, so the sorted values give what a stable argsort of the
-ids would.  A file's line ends are made LF once, as text mode reads them,
-before any parse; every step of the table path then reads those LF-only
-bytes, and only the line reader ``_load_lines``, the reference that path is
-tested against, keeps text mode's own line rules.  A file that numpy parses
-as one table is built without its bytes, which are dropped once parsed, and
-with its unit weights as a scalar 1.0 (a unit-weight degree is its row
-count).  That path words an edge error itself, from the file ids the remap
-returns and the comment and blank lines the parse skipped.
+Node ids are dense 0..n-1 and stored as int32, so a graph holds fewer than
+2**31 nodes; the sort keys, and the tail's row list and offsets, stay int64.
+``neighbor_sum`` gathers through ``ndarray.take``, which casts int32 ids at
+about a third of the cost of fancy indexing.  Only ``Graph`` knows the edge
+rules; ``load_edge_list`` parses text, remaps ids by first appearance and
+names a rejected edge's line.  The remap, too, is a value sort: each id is
+packed with its position, so the sorted values give what a stable argsort of
+the ids would; it gives int32 labels, and the file's int64 ids are dropped
+before the graph is built from them.  A file's line ends are made LF once,
+as text mode reads them, before any parse; every step of the table path then
+reads those LF-only bytes, and only the line reader ``_load_lines``, the
+reference that path is tested against, keeps text mode's own line rules.  A
+file that numpy parses as one table is built without its bytes, which are
+dropped once parsed, and with its unit weights as a scalar 1.0 (a
+unit-weight degree is its row count).  That path words an edge error itself,
+from the file ids the remap returns and the comment and blank lines the
+parse skipped.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ __all__ = [
     "gen_random_regular",
     "neighbor_sum",
 ]
+
+
+_NODE_LIMIT = 2**31  # node ids are int32
 
 
 @dataclass(frozen=True)
@@ -80,19 +88,22 @@ class GraphStats:
 class Graph:
     """Immutable weighted undirected graph.
 
-    ``Graph(n, edge_u, edge_v, edge_w)`` takes edge k as ``edge_u[k]``-``edge_v[k]``
-    with weight ``edge_w[k]`` (``edge_w`` may be one scalar weight for every
-    edge), checks the edge rules and keeps only what is derived from the
-    edges: the weighted degree vector and the symmetrised adjacency.  With K
-    the smallest row length, ``head`` is a (K, n) array whose ``head[k, i]``
-    is node i's k-th smallest neighbour id.  ``tail`` holds the remaining
-    neighbours of every row longer than K, row by row and sorted by id.
-    ``tail_rows`` lists the nodes that have tail entries, in id order, and
-    ``tail_starts`` the offsets of their runs in ``tail``; each run ends
-    where the next begins.  ``head_w`` and ``tail_w`` hold the edge weights
-    alongside, or are both None when every edge weight is exactly 1.0.
-    ``longest_row`` is the largest row length, K plus the longest tail run.
-    Arrays are set read-only so instances can be shared freely between runs.
+    ``Graph(n, edge_u, edge_v, edge_w)`` takes edge k as
+    ``edge_u[k]``-``edge_v[k]`` with weight ``edge_w[k]`` (``edge_w`` may be one
+    scalar weight for every edge), checks the edge rules and keeps only what is
+    derived from the edges: the weighted degree vector and the symmetrised
+    adjacency.  Node ids are int32, so ``n`` must be below 2**31; a larger ``n``
+    is refused before anything is allocated.  Integer edge arrays are read as
+    they are, with no int64 copy.  With K the smallest row length, ``head`` is a
+    (K, n) int32 array whose ``head[k, i]`` is node i's k-th smallest neighbour
+    id.  ``tail`` holds the remaining neighbours of every row longer than K, row
+    by row and sorted by id.  ``tail_rows`` lists the nodes that have tail
+    entries, in id order, and ``tail_starts`` the offsets of their runs in
+    ``tail``; each run ends where the next begins.  ``head_w`` and ``tail_w``
+    hold the edge weights alongside, or are both None when every edge weight is
+    exactly 1.0.  ``longest_row`` is the largest row length, K plus the longest
+    tail run.  Arrays are set read-only so instances can be shared freely
+    between runs.
 
     Construct through :meth:`from_edges`, the generators, or
     :func:`load_edge_list` rather than passing raw arrays.
@@ -115,6 +126,9 @@ class Graph:
         n = self.n
         if n < 1:
             raise ValueError("graph needs at least one node")
+        if n >= _NODE_LIMIT:
+            raise ValueError(f"graph has {n} nodes; node ids are int32, so a graph "
+                             f"holds fewer than 2**31 nodes")
         u, v, w = _edge_arrays(edge_u, edge_v, edge_w)  # read, never kept
         m = u.size
         if m and not (min(u.min(), v.min()) >= 0 and max(u.max(), v.max()) < n
@@ -140,7 +154,8 @@ class Graph:
         keys.sort()
         if np.any(keys[1:] == keys[:-1]):
             raise _first_bad_edge(n, u, v, w)
-        keys %= n  # now the neighbour ids
+        keys %= n
+        keys = keys.astype(np.int32)  # the neighbour ids, each below n < 2**31
         # row i starts at sorted position row_start[i]; its first K entries
         # go to the head, the rest to the tail.  The head is filled a row at
         # a time: one (K, n) index array would raise peak memory by up to
@@ -148,7 +163,7 @@ class Graph:
         # graph without one marks no entries
         k_min, longest = int(counts.min()), int(counts.max())
         row_start = np.cumsum(counts) - counts
-        head = np.empty((k_min, n), dtype=np.int64)
+        head = np.empty((k_min, n), dtype=np.int32)
         head_w = None if unit else np.empty((k_min, n))
         in_tail = (np.ones(keys.size, dtype=bool) if longest > k_min
                    else np.empty(0, dtype=np.intp))  # no tail: an index of nothing
@@ -214,14 +229,21 @@ class Graph:
 
 def _edge_arrays(edge_u, edge_v, edge_w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the edges as flat arrays of one length; one weight for every edge is
-    # broadcast, and reshape, unlike ravel, copies no broadcast array
-    u = np.asarray(edge_u, dtype=np.int64).reshape(-1)
-    v = np.asarray(edge_v, dtype=np.int64).reshape(-1)
+    # broadcast, and reshape, unlike ravel, copies no broadcast array.  Ids
+    # of an integer type that int64 holds are read as they are, with no copy
+    u, v = _ids(edge_u), _ids(edge_v)
     w = np.asarray(edge_w, dtype=np.float64)
     w = np.broadcast_to(w, u.shape) if w.ndim == 0 else w.reshape(-1)
     if not (u.size == v.size == w.size):
         raise ValueError("edge arrays must have identical length")
     return u, v, w
+
+
+def _ids(ids) -> np.ndarray:
+    arr = np.asarray(ids)
+    if not (arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
+        arr = np.asarray(ids, dtype=np.int64)  # cast as given, e.g. a list of floats
+    return arr.reshape(-1)
 
 
 class _EdgeError(ValueError):
@@ -263,20 +285,22 @@ def neighbor_sum(graph: Graph, x: np.ndarray, out: np.ndarray | None = None) -> 
     elif np.may_share_memory(out, x):
         raise ValueError("out must not overlap x")
     head, head_w = graph.head, graph.head_w
+    # x.take(ids, mode="wrap") gathers: it skips the bounds-check buffer, as
+    # every id is in range, and casts int32 ids at a third of the cost of x[ids]
     if head.shape[0]:
-        # mode="wrap" skips the bounds-check buffer; every id is in range
-        np.take(x, head[0], out=out, mode="wrap")
+        x.take(head[0], out=out, mode="wrap")
         if head_w is not None:
             out *= head_w[0]
     else:  # an isolated node leaves K = 0
         out.fill(0.0)
+    terms = np.empty(graph.n) if head.shape[0] > 1 else None
     for k in range(1, head.shape[0]):
-        terms = x[head[k]]
+        x.take(head[k], out=terms, mode="wrap")
         if head_w is not None:
             terms *= head_w[k]
         out += terms
     if graph.tail_rows.size:
-        terms = x[graph.tail]
+        terms = x.take(graph.tail, mode="wrap")
         if graph.tail_w is not None:
             terms *= graph.tail_w
         out[graph.tail_rows] += np.add.reduceat(terms, graph.tail_starts)
@@ -317,7 +341,11 @@ def load_edge_list(path) -> Graph:
     if table is None:
         return _load_lines(data)
     del data  # the only reference: the graph is built without the file's bytes
-    return _table_graph(*table)
+    ids, w, skipped = table
+    del table
+    labels, file_ids = _relabel_by_first_appearance(ids)
+    del ids  # the table's int64 ids: the graph is built from the int32 labels
+    return _table_graph(labels, file_ids, w, skipped)
 
 
 # the bytes str.split splits at within a line: ASCII whitespace but the LF
@@ -356,11 +384,11 @@ def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray | float, np.ndarra
     return ids, w, _skipped_lines(data, ids.size // 2, head)
 
 
-def _table_graph(ids: np.ndarray, w: np.ndarray | float, skipped: np.ndarray) -> Graph:
-    # the graph of a parsed table; an edge that breaks a rule is named as
-    # _load_lines names it, by its line and the file's ids
-    file_ids = _relabel_by_first_appearance(ids)
-    ids = ids.reshape(-1, 2)  # Graph reads the columns as they lie
+def _table_graph(labels: np.ndarray, file_ids: np.ndarray, w: np.ndarray | float,
+                 skipped: np.ndarray) -> Graph:
+    # the graph of a parsed table, its ids relabelled; an edge that breaks a
+    # rule is named as _load_lines names it, by its line and the file's ids
+    ids = labels.reshape(-1, 2)  # Graph reads the columns as they lie
     try:
         return Graph(file_ids.size, ids[:, 0], ids[:, 1], w)
     except _EdgeError as exc:
@@ -414,11 +442,10 @@ def _skipped_lines(data: bytes, rows: int, head: int) -> np.ndarray:
     # each line's first byte past its blanks is '#' on a comment line and
     # the LF on a blank one.  A last line without an LF is not scanned: no
     # data line follows it, so it moves no line number
-    chars = np.frombuffer(data, dtype=np.uint8)
-    ends = chars == ord("\n")
-    if np.count_nonzero(ends) + (not data.endswith(b"\n")) == head + rows:
+    if data.count(b"\n") + (not data.endswith(b"\n")) == head + rows:
         return np.arange(1, head + 1)
-    ends = np.flatnonzero(ends)
+    chars = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(chars == ord("\n"))
     first = np.empty(ends.size, dtype=np.int64)  # each line's first byte past its blanks
     first[:1], first[1:] = 0, ends[:-1] + 1
     at = np.flatnonzero(_BLANK[chars[first]])
@@ -429,15 +456,17 @@ def _skipped_lines(data: bytes, rows: int, head: int) -> np.ndarray:
     return np.flatnonzero((lead == ord("#")) | (lead == ord("\n"))) + 1
 
 
-def _relabel_by_first_appearance(ids: np.ndarray) -> np.ndarray:
-    # overwrite the non-empty, non-negative ``ids`` with dense labels numbered
-    # by first appearance; returns the id of each label, one per distinct id.
-    # Each id is packed with its position, id << bits | position, and the
-    # packed values are sorted in place: that orders the ids as a stable
-    # argsort would, and each id's run starts at its first appearance.  The
-    # packing needs ids below 2**(63 - bits); larger ones are first replaced
-    # by their codes in sorted order, which keep equality and first
-    # appearance (the codes fit while there are fewer than 2**31 ids)
+def _relabel_by_first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # dense int32 labels for the non-empty, non-negative ``ids``, numbered by
+    # first appearance, and the id of each label, one per distinct id; the
+    # ids are overwritten.  Each id is packed with its position, id << bits
+    # | position, and the packed values are sorted in place: that orders the
+    # ids as a stable argsort would, and each id's run starts at its first
+    # appearance.  Positions are packed, and labels scattered, a chunk at a
+    # time, so the packed ids and the labels are the only arrays as long as
+    # ``ids``.  The packing needs ids below 2**(63 - bits); larger ones are
+    # first replaced by their codes in sorted order, which keep equality and
+    # first appearance (the codes fit while there are fewer than 2**31 ids)
     size = ids.size
     bits = (size - 1).bit_length()
     codes = None
@@ -445,28 +474,49 @@ def _relabel_by_first_appearance(ids: np.ndarray) -> np.ndarray:
         codes, inverse = np.unique(ids, return_inverse=True)
         ids[:] = inverse.reshape(-1)
         del inverse
-    ids <<= bits
-    ids |= np.arange(size)
+    for start in range(0, size, _CHUNK):
+        chunk = ids[start:start + _CHUNK]
+        chunk <<= bits
+        chunk |= np.arange(start, start + chunk.size)
     ids.sort()
-    pos = ids & ((1 << bits) - 1)
-    ids >>= bits
-    head = np.empty(size, dtype=bool)  # first of a run of equal sorted ids
-    head[0] = True
-    np.not_equal(ids[1:], ids[:-1], out=head[1:])
-    first_seen = pos[head]
+    mask = (1 << bits) - 1
+    first_seen, run_ids = [], []
+    for chunk, run_id, heads in _sorted_runs(ids, bits):
+        first_seen.append(chunk[heads] & mask)
+        run_ids.append(run_id[heads])
+    first_seen = np.concatenate(first_seen)
     by_appearance = np.argsort(first_seen)
-    file_ids = ids[head][by_appearance]
-    rank = np.empty(first_seen.size, dtype=np.int64)
+    file_ids = np.concatenate(run_ids)[by_appearance]
+    # each run's label; past 2**31 distinct ids these wrap, and Graph refuses n
+    rank = np.empty(first_seen.size, dtype=np.int32)
     rank[by_appearance] = np.arange(first_seen.size)
-    del first_seen, by_appearance
-    np.cumsum(head, out=ids)  # sorted entry -> 1 + the number of its run
-    del head
-    ids -= 1
-    labels = np.empty_like(ids)
-    labels[pos] = ids
-    del pos
-    np.take(rank, labels, out=ids)
-    return file_ids if codes is None else codes[file_ids]
+    del first_seen, run_ids, by_appearance
+    labels = np.empty(size, dtype=np.int32)
+    runs = 0  # the runs before the chunk
+    for chunk, run, heads in _sorted_runs(ids, bits):
+        np.cumsum(heads, out=run)  # entry -> the run heads in the chunk up to it
+        run += runs - 1
+        runs = int(run[-1]) + 1
+        labels[chunk & mask] = rank[run]
+    return labels, (file_ids if codes is None else codes[file_ids])
+
+
+def _sorted_runs(packed: np.ndarray, bits: int):
+    # each chunk of the sorted ``packed`` values with its ids and a flag on
+    # every entry that starts a run of equal ids: the first entry of a chunk
+    # is compared with the last entry of the chunk before
+    last = -1
+    for start in range(0, packed.size, _CHUNK):
+        chunk = packed[start:start + _CHUNK]
+        ids = chunk >> bits
+        heads = np.empty(ids.size, dtype=bool)
+        heads[0] = ids[0] != last
+        np.not_equal(ids[1:], ids[:-1], out=heads[1:])
+        last = ids[-1]
+        yield chunk, ids, heads
+
+
+_CHUNK = 1 << 16  # entries packed or relabelled per step of the remap
 
 
 def _load_lines(data: bytes) -> Graph:

@@ -108,9 +108,10 @@ class PeriodTrajectory:
 
 
 def _clamp_unit(z: np.ndarray, slack: float) -> np.ndarray:
-    # equilibria live in [0,1] mathematically; tolerate solver-sized spill
+    # equilibria live in [0,1] mathematically; tolerate solver-sized spill.
+    # Written so that a NaN fails it: z.min() and z.max() are then NaN
     lo, hi = float(z.min()), float(z.max())
-    if lo < -slack or hi > 1.0 + slack:
+    if not (lo >= -slack and hi <= 1.0 + slack):
         raise ValueError(f"opinions left [0,1] by more than {slack:g} "
                          f"(range [{lo:.3e}, {hi:.3e}])")
     return np.clip(z, 0.0, 1.0)

@@ -101,7 +101,8 @@ MUTANTS = [
      "            terms *= graph.tail_w", "            pass",
      ["tests/test_graph.py"]),
     ("neighbor_sum reads a head row shifted by one node", "graph.py",
-     "        terms = x[head[k]]", "        terms = x[np.roll(head[k], 1)]",
+     'x.take(head[k], out=terms, mode="wrap")',
+     'x.take(np.roll(head[k], 1), out=terms, mode="wrap")',
      ["tests/test_graph.py"]),
     ("degree from the row counts on a weighted graph", "graph.py",
      "        if unit:  # a sum of ones is exact", "        if True:  # a sum of ones is exact",
@@ -110,12 +111,21 @@ MUTANTS = [
      '(lead == ord("\\n"))) + 1', '(lead == ord("\\n")))',
      ["tests/test_graph.py"]),
     ("the skipped-line count without a last line that has no line end", "graph.py",
-     'np.count_nonzero(ends) + (not data.endswith(b"\\n")) == head + rows',
-     'np.count_nonzero(ends) == head + rows',
+     'data.count(b"\\n") + (not data.endswith(b"\\n")) == head + rows',
+     'data.count(b"\\n") == head + rows',
      ["tests/test_graph.py"]),
+    ("the remap compares run heads only within a chunk", "graph.py",
+     "heads[0] = ids[0] != last", "heads[0] = True",
+     ["tests/test_graph.py::test_load_remaps_an_id_whose_run_crosses_a_remap_chunk"]),
+    ("a graph of 2**31 nodes not refused", "graph.py",
+     "        if n >= _NODE_LIMIT:", "        if False:",
+     ["tests/test_graph.py::test_a_graph_of_2_31_nodes_is_refused_before_any_allocation"]),
     ("the table path names an edge by its relabelled ids", "graph.py",
      "raise _edge_error(line, exc, *file_ids[ids[k]])", "raise _edge_error(line, exc, *ids[k])",
      ["tests/test_graph.py"]),
+    ("the table's int64 ids kept while the graph is built", "graph.py",
+     "    del ids  # the table's int64 ids", "    pass  # the table's int64 ids",
+     ["tests/test_harness.py::test_loading_a_file_graph_holds_no_bytes_and_no_ones"]),
     ("a unit-weight table given an array of ones", "graph.py",
      "w = 1.0  # one weight for every edge: no array of ones", "w = np.ones(table.size)",
      ["tests/test_harness.py::test_loading_a_file_graph_holds_no_bytes_and_no_ones"]),
@@ -143,6 +153,9 @@ MUTANTS = [
      "report = equilibrium_with_media(system, s, zeta, tol=tol)",
      "report = equilibrium_with_media(MediaSystem(graph, config.beta), s, zeta, tol=tol)",
      ["tests/test_periods.py::test_a_run_builds_one_operator"]),
+    ("a NaN opinion passes the range check", "periods.py",
+     "if not (lo >= -slack and hi <= 1.0 + slack):", "if lo < -slack or hi > 1.0 + slack:",
+     ["tests/test_periods.py::test_a_nan_opinion_is_refused"]),
     ("a nonstubborn run accepts alpha below 1", "harness.py",
      'if self.mode == "nonstubborn" and self.alpha != 1.0:', "if False:",
      ["tests/test_nonstubborn.py::test_alpha_below_one_rejected"]),

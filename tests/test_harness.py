@@ -407,13 +407,16 @@ _MIDDLE = "\n# the second half\n"  # the skipped-line map then scans every line
 ], ids=["plain", "comment header", "lines skipped among the edges", "CRLF, lines skipped",
         "lone CR, comment header", "lone CR, lines skipped"])
 def test_loading_a_file_graph_holds_no_bytes_and_no_ones(tmp_path, header, middle, newline):
-    # the ingest peak is the table, the sort keys and the head, 16 bytes per
-    # edge each; the graph keeps the head, 16 bytes per edge, and neither
-    # its edge arrays nor its unit weights, which are one scalar 1.0.  Each
-    # bound allows 12 int64 per node at the peak and 2 kept beside them (the
-    # degree): the file's bytes (about 10 per edge here), its raw bytes kept
-    # beside their LF-only copy, an array of ones (8) or a kept edge array
-    # (8) breaks it
+    # the ingest peak is the graph's build from the int32 labels (8 bytes
+    # per edge): the int64 sort keys (16) and their int32 copy (8).  The
+    # file's bytes (about 10 per edge here) and the table (16) go before
+    # it, unless lines are skipped among the edges: their scan also holds
+    # two int64 per line (16).  The graph keeps the head of int32 ids, 8
+    # bytes per edge, and neither its edge arrays nor its unit weights,
+    # which are one scalar 1.0.  Each bound allows 12 int64 per node at the
+    # peak and 2 kept beside them (the degree): the file's bytes, its raw
+    # bytes kept beside their LF-only copy, the table's int64 ids, an array
+    # of ones (8) or a kept edge array breaks it
     path = tmp_path / "circulant.edges"
     n, m = _circulant_file(path, header, middle, newline)
     config = ExperimentConfig(mode="bounds", graph=GraphSpec(kind="file", path=str(path)),
@@ -431,8 +434,9 @@ def test_loading_a_file_graph_holds_no_bytes_and_no_ones(tmp_path, header, middl
     finally:
         tracemalloc.stop()
     assert graph.m == m and graph.n == n
-    assert peak <= 48 * m + 96 * n, f"ingest peak {peak / m:.1f} bytes per edge"
-    assert kept <= 16 * m + 16 * n, f"graph keeps {kept / m:.1f} bytes per edge"
+    scan = 16 * m if middle else 0
+    assert peak <= 32 * m + scan + 96 * n, f"ingest peak {peak / m:.1f} bytes per edge"
+    assert kept <= 8 * m + 16 * n, f"graph keeps {kept / m:.1f} bytes per edge"
 
 
 @pytest.mark.parametrize("key", ["mode", "graph.kind", "graph.n", "graph.d", "graph.path",

@@ -123,6 +123,26 @@ def test_opinion_excursion_beyond_the_solve_tolerance_raises(monkeypatch, spill,
         assert traj.final_state.max() == 1.0
 
 
+def test_a_nan_opinion_is_refused(monkeypatch):
+    # NaN compares False with any bound, and np.clip keeps it: a NaN in the
+    # last allowed period would otherwise reach the CSV as nan
+    with pytest.raises(ValueError, match=r"opinions left \[0,1\].*nan"):
+        periods_module._clamp_unit(np.array([0.5, np.nan]), 1e-10)
+    g = gen_random_regular(20, 4, seed=1)
+    real = periods_module.equilibrium_with_media
+
+    def nan_at_node_3(system, s, zeta, tol):
+        report = real(system, s, zeta, tol=tol)
+        z = report.solution.copy()
+        z[3] = np.nan
+        return replace(report, solution=z)
+
+    monkeypatch.setattr(periods_module, "equilibrium_with_media", nan_at_node_3)
+    stop = StopCriteria(up_threshold=0.99, epsilon=1e-4, max_periods=1)
+    with pytest.raises(ValueError, match=r"opinions left \[0,1\]"):
+        run_periods(g, np.full(20, 0.3), MediaConfig(1.0, 0.5, 0.1), all_to_M(20), stop)
+
+
 @pytest.fixture
 def built_operators(monkeypatch):
     """Every DiagPlusLaplacianOperator built while the test runs."""
