@@ -440,14 +440,22 @@ def _skipped_lines(data: bytes, rows: int, head: int) -> np.ndarray:
     # line was skipped (a header is the common case and is not scanned);
     # only then are the lines scanned, all at once, with no loop over them:
     # each line's first byte past its blanks is '#' on a comment line and
-    # the LF on a blank one.  A last line without an LF is not scanned: no
-    # data line follows it, so it moves no line number
-    if data.count(b"\n") + (not data.endswith(b"\n")) == head + rows:
+    # the LF on a blank one.  The LFs are found a chunk of bytes at a time,
+    # so one int64 per line is the scan's only array as long as the file.
+    # A last line without an LF is not scanned: no data line follows it, so
+    # it moves no line number
+    lines = data.count(b"\n")
+    if lines + (not data.endswith(b"\n")) == head + rows:
         return np.arange(1, head + 1)
     chars = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(chars == ord("\n"))
-    first = np.empty(ends.size, dtype=np.int64)  # each line's first byte past its blanks
-    first[:1], first[1:] = 0, ends[:-1] + 1
+    first = np.empty(lines + 1, dtype=np.int64)  # 0, then one past each LF
+    first[0], filled = 0, 1
+    for start in range(0, chars.size, _CHUNK):
+        ends = np.flatnonzero(chars[start:start + _CHUNK] == ord("\n"))
+        ends += start + 1
+        first[filled:filled + ends.size] = ends
+        filled += ends.size
+    first = first[:-1]  # each LF-ended line's first byte, then past its blanks
     at = np.flatnonzero(_BLANK[chars[first]])
     while at.size:
         first[at] += 1
@@ -516,7 +524,7 @@ def _sorted_runs(packed: np.ndarray, bits: int):
         yield chunk, ids, heads
 
 
-_CHUNK = 1 << 16  # entries packed or relabelled per step of the remap
+_CHUNK = 1 << 16  # entries per step of the remap, bytes per step of the LF scan
 
 
 def _load_lines(data: bytes) -> Graph:

@@ -23,7 +23,7 @@ from .graph import (Graph, _ba_edges, _regular_edges, gen_barabasi_albert, gen_r
                     load_edge_list)
 from .media import (MediaConfig, MediaSystem, assign_media, build_zeta,
                     equilibrium_with_media, source_opinions)
-from .nonstubborn import nonstubborn_equilibrium
+from .nonstubborn import nonstubborn_equilibrium, nonstubborn_sum_bound
 from .numerics import ConvergenceError
 from .periods import StopCriteria, analytic_summary, run_periods
 
@@ -292,11 +292,11 @@ def _run_one(config, rep, graph, s, assignment, stop):
 
     sum_s = float(s.sum())
     if config.mode == "nonstubborn":
-        z, z_m_star = nonstubborn_equilibrium(graph, s, config.beta, config.gamma, tol=config.tol)
-        bound = (1.0 + (1.0 + config.gamma) / graph.n) * sum_s
+        z, z_m_star, s_m = nonstubborn_equilibrium(graph, s, config.beta, config.gamma,
+                                                   tol=config.tol)
         return [{"rep": rep, "sum_s": sum_s, "sum_z": float(z.sum()),
-                 "mean_z": float(z.mean()), "s_M": source_opinions(s, config.gamma).z_M,
-                 "z_M_star": z_m_star, "bound": bound}]
+                 "mean_z": float(z.mean()), "s_M": s_m, "z_M_star": z_m_star,
+                 "bound": nonstubborn_sum_bound(sum_s, graph.n, config.gamma)}]
 
     summary = analytic_summary(graph, s, media, assignment)
     if config.mode == "bounds":  # formulas only, no solve

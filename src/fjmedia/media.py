@@ -61,7 +61,8 @@ def opinion_vector(values, n: int | None = None) -> np.ndarray:
     z = np.asarray(values, dtype=np.float64).ravel()
     if n is not None and z.shape != (n,):
         raise ValueError(f"expected {n} opinions, got {z.shape}")
-    if z.size and (np.any(~np.isfinite(z)) or z.min() < 0.0 or z.max() > 1.0):
+    # NaN fails both comparisons, so this one test also refuses it
+    if z.size and not (z.min() >= 0.0 and z.max() <= 1.0):
         raise ValueError("opinions must lie in [0, 1]")
     return z
 

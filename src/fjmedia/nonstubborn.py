@@ -8,8 +8,9 @@ the augmented graph then caps the influence hard:
     sum(z) + z_M = sum(s) + s_M   =>   sum(z) <= (1 + (1+gamma)/n) * sum(s)
 
 so a persuadable source moves the total by at most a 1/n-sized factor, versus
-the n-independent gain a stubborn source achieves.  Only full attachment
-(alpha = 1) is modelled.
+the n-independent gain a stubborn source achieves.  ``nonstubborn_sum_bound``
+is that cap, the ``bound`` column of a ``nonstubborn`` row.  Only full
+attachment (alpha = 1) is modelled.
 
 The augmented graph is never built.  With w = beta * (1 + d) and
 A = I + diag(w) + L, the operator ``equilibrium_with_media`` solves for the
@@ -26,9 +27,11 @@ exactly 1 + sum(b), a sum of non-negative terms that no beta cancels, and
 
     z_M = (s_M + b^T s) / (1 + sum(b))
 
-Two solves of the stubborn media operator give the equilibrium: b, then z
-with every source opinion z_M.  As beta grows, b tends to 1 and z to the
-consensus (sum(s) + s_M) / (n + 1); at beta = 0, b = 0 and z_M = s_M.
+Two solves of the stubborn media operator give the equilibrium: b, the
+equilibrium at s = 0 with every source opinion 1 (its right-hand side
+0 + w * 1 is w), then z with every source opinion z_M.  As beta grows, b
+tends to 1 and z to the consensus (sum(s) + s_M) / (n + 1); at beta = 0,
+b = 0 and z_M = s_M.
 """
 
 from __future__ import annotations
@@ -37,23 +40,38 @@ import numpy as np
 
 from .graph import Graph
 from .media import MediaSystem, equilibrium_with_media, opinion_vector, source_opinions
-from .numerics import dot, solve_spd
+from .numerics import dot
 
-__all__ = ["nonstubborn_equilibrium"]
+__all__ = ["nonstubborn_equilibrium", "nonstubborn_sum_bound"]
 
 
 def nonstubborn_equilibrium(graph: Graph, s: np.ndarray, beta: float, gamma: float,
-                            tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Equilibrium with one non-stubborn source; returns (node opinions, z_M*).
+                            tol: float = 1e-10) -> tuple[np.ndarray, float, float]:
+    """Equilibrium with one non-stubborn source; returns (node opinions, z_M*, s_M).
 
-    Every node hears the source (alpha = 1 is part of the model).  Eliminates
-    the source node and solves the stubborn media operator twice, dividing by
-    1 + sum(b) (see the module docstring).
+    Every node hears the source (alpha = 1 is part of the model).  s_M is
+    the source's innate opinion.  Eliminates the source node and solves the
+    stubborn media operator twice, dividing by 1 + sum(b) (see the module
+    docstring).
     """
     s = opinion_vector(s, graph.n)
     s_M = source_opinions(s, gamma).z_M
     system = MediaSystem(graph, beta)
-    b = solve_spd(system.op, system.weight, tol=tol).solution
+    b = equilibrium_with_media(system, np.zeros(graph.n), np.ones(graph.n), tol=tol).solution
     z_M = (s_M + dot(b, s)) / (1.0 + float(b.sum()))
     z = equilibrium_with_media(system, s, np.full(graph.n, z_M), tol=tol).solution
-    return z, z_M
+    return z, z_M, s_M
+
+
+def nonstubborn_sum_bound(sum_s: float, n: int, gamma: float) -> float:
+    """Cap on the equilibrium sum with one persuadable source.
+
+    sum(z) <= (1 + (1+gamma)/n) * sum_s, from sum conservation on the
+    augmented graph and s_M <= (1+gamma) * sum_s / n (see the module
+    docstring).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
+    return (1.0 + (1.0 + gamma) / n) * sum_s

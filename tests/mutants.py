@@ -40,6 +40,15 @@ MUTANTS = [
     ("persuadable denominator without its 1 +", "nonstubborn.py",
      "(1.0 + float(b.sum()))", "float(b.sum())",
      ["tests/test_nonstubborn.py"]),
+    ("persuadable cap without the source's own 1", "nonstubborn.py",
+     "(1.0 + gamma)", "gamma",
+     ["tests/test_golden.py::test_csv_matches_the_0_1_3_golden[nonstubborn]"]),
+    ("a nonstubborn rep computes s_M a second time", "harness.py",
+     '"s_M": s_m,', '"s_M": source_opinions(s, config.gamma).z_M,',
+     ["tests/test_nonstubborn.py::test_each_rep_computes_its_source_opinion_once"]),
+    ("an opinion range check that lets NaN through", "media.py",
+     "not (z.min() >= 0.0 and z.max() <= 1.0)", "(z.min() < 0.0 or z.max() > 1.0)",
+     ["tests/test_fj.py::test_opinion_vector_checks_range"]),
     ("ell_star through log of the rounded growth factor", "periods.py",
      "math.log1p(rise)", "math.log(1.0 + rise)",
      ["tests/test_periods.py::test_ell_star_matches_a_decimal_reference"]),
@@ -111,9 +120,14 @@ MUTANTS = [
      '(lead == ord("\\n"))) + 1', '(lead == ord("\\n")))',
      ["tests/test_graph.py"]),
     ("the skipped-line count without a last line that has no line end", "graph.py",
-     'data.count(b"\\n") + (not data.endswith(b"\\n")) == head + rows',
-     'data.count(b"\\n") == head + rows',
+     'lines + (not data.endswith(b"\\n")) == head + rows', "lines == head + rows",
      ["tests/test_graph.py"]),
+    ("the LF scan places a chunk's line ends from the chunk's start", "graph.py",
+     "ends += start + 1", "ends += 1",
+     ["tests/test_graph.py"]),
+    ("the LF scan over the whole file in one chunk", "graph.py",
+     "for start in range(0, chars.size, _CHUNK):", "for start in range(0, chars.size, chars.size):",
+     ["tests/test_harness.py::test_loading_a_file_graph_holds_no_bytes_and_no_ones"]),
     ("the remap compares run heads only within a chunk", "graph.py",
      "heads[0] = ids[0] != last", "heads[0] = True",
      ["tests/test_graph.py::test_load_remaps_an_id_whose_run_crosses_a_remap_chunk"]),

@@ -214,7 +214,7 @@ def test_criterion_08_nonstubborn_weakness():
         s = rng.uniform(0.05, 0.95, g.n)
         config = MediaConfig(alpha=1.0, beta=float(rng.uniform(0.1, 1.0)),
                              gamma=float(rng.uniform(0.0, 0.2)))
-        z, _ = nonstubborn_equilibrium(g, s, config.beta, config.gamma, tol=1e-10)
+        z, _, _ = nonstubborn_equilibrium(g, s, config.beta, config.gamma, tol=1e-10)
         bound = (1.0 + (1.0 + config.gamma) / g.n) * float(s.sum())
         slack = float(z.sum()) - bound
         assert slack <= 1e-8 * g.n
@@ -228,7 +228,7 @@ def test_criterion_08_nonstubborn_weakness():
     nonstub_gain = (1.0 + config.gamma) / g.n
     ratio = stubborn_gain / nonstub_gain
     assert ratio >= 100.0
-    z, _ = nonstubborn_equilibrium(g, s, config.beta, config.gamma, tol=1e-10)
+    z, _, _ = nonstubborn_equilibrium(g, s, config.beta, config.gamma, tol=1e-10)
     assert float(z.sum()) <= (1.0 + nonstub_gain) * float(s.sum()) + 1e-8 * g.n
     print(f"ACCEPTANCE 08 PASS: persuadable-source bound held on 50 graphs "
           f"(worst slack {worst:.2e}); stubborn/non-stubborn gain ratio "

@@ -32,12 +32,12 @@ def test_opinion_vector_accepts_list():
 
 
 def test_opinion_vector_checks_range():
-    with pytest.raises(ValueError):
-        opinion_vector([0.0, 1.0001])
-    with pytest.raises(ValueError):
-        opinion_vector([-0.1, 0.5])
-    with pytest.raises(ValueError):
-        opinion_vector([np.nan, 0.5])
+    for bad in (1.0001, -0.1, np.nan, np.inf, -np.inf, -1e-300):
+        for values in ([bad, 0.5], [0.5, bad]):
+            with pytest.raises(ValueError, match=r"^opinions must lie in \[0, 1\]$"):
+                opinion_vector(values)
+    z = opinion_vector([-0.0, 1.0])
+    assert z[0] == 0.0 and np.signbit(z[0])  # -0.0 is accepted as it is
 
 
 def test_opinion_vector_lives_in_media_and_resolves_everywhere():

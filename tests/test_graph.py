@@ -441,6 +441,10 @@ LOADER_CASES = [
     # relabelled, these ids would read 1-0 and 2-2
     ("duplicate of remapped ids", b"5 9\n9 7\n9 5\n", True),
     ("self-loop after skipped lines", b"# c\n\n5 9\n  \n9 7\n\t# x\n7 7\n8 5\n", True),
+    # the scan finds the LFs 64 KiB at a time: skipped lines in every chunk
+    ("self-loop after skipped lines in six chunks of bytes",
+     b"".join(line + b"# c\n \n" * (i % 1000 == 999) for i, line in
+              enumerate(_path_lines(30_000).splitlines(keepends=True))) + b"7 7\n", True),
     ("self-loop after a comment header", b"# c\n# d\n5 9\n9 7\n7 7\n", True),
     ("self-loop before a blank line", b"5 9\n\n9 9\n\n7 5\n", True),
     ("self-loop after lone-CR blank lines", b"5 9\r\r9 7\r \r7 7\r", True),

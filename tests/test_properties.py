@@ -100,9 +100,9 @@ def test_equilibrium_with_media_commutes_with_relabelling(inst, beta, gamma):
 @given(instances(), st.floats(0.0, 2.0), unit)
 def test_nonstubborn_equilibrium_commutes_with_relabelling(inst, beta, gamma):
     g, s, _, perm = inst
-    z, z_M = nonstubborn_equilibrium(g, s, beta, gamma, tol=1e-12)
-    z2, z2_M = nonstubborn_equilibrium(relabel(g, perm), moved(s, perm), beta, gamma,
-                                       tol=1e-12)
+    z, z_M, _ = nonstubborn_equilibrium(g, s, beta, gamma, tol=1e-12)
+    z2, z2_M, _ = nonstubborn_equilibrium(relabel(g, perm), moved(s, perm), beta, gamma,
+                                          tol=1e-12)
 
     assert np.max(np.abs(z2 - moved(z, perm))) <= 1e-9
     assert z2_M == pytest.approx(z_M, abs=1e-9)
@@ -444,7 +444,7 @@ def test_nonstubborn_equilibrium_is_right_over_the_whole_range(inst, gamma):
         with pytest.raises(ValueError, match=WEIGHT_OVERFLOWS):
             nonstubborn_equilibrium(g, s, beta, gamma, tol=tol)
         return
-    z, z_M = nonstubborn_equilibrium(g, s, beta, gamma, tol=tol)
+    z, z_M, _ = nonstubborn_equilibrium(g, s, beta, gamma, tol=tol)
 
     n = g.n
     system = MediaSystem(g, beta)
