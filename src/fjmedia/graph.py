@@ -742,11 +742,13 @@ _MAX_BLOCK_WORDS = 2**15  # most draws a speculative block makes
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
-    """Random simple d-regular graph via the pairing model with stub repair.
+    """Random simple d-regular graph via the pairing model with stub repair
+    (Bollobas 1980).
 
     All nd stubs are shuffled and paired; pairs that would create a self-loop
-    or duplicate edge put their stubs back for the next shuffle.  When the
-    leftover stubs cannot be placed at all, everything restarts.  Pairing
+    or duplicate edge put their stubs back for the next shuffle.  The
+    leftover stubs are a dead end when their nodes are one node, or already
+    pairwise joined: then everything restarts on the same generator.  Pairing
     stalls on dense graphs, so for ``2d > n - 1`` the sparser
     ``(n-1-d)``-regular graph is paired from the same seed and its complement
     returned, edges in row-major order.  Unit weights; deterministic for a
@@ -766,13 +768,10 @@ def _regular_edges(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("n*d must be even for a d-regular graph to exist")
     dense = 2 * d > n - 1
     k = n - 1 - d if dense else d  # n*k is even too, as n*(n-1) is
-    u = v = np.empty(0, dtype=np.int64)
-    if k:
-        rng = np.random.default_rng(seed)
-        edges = None
-        while edges is None:
-            edges = _pairing_attempt(rng, n, k)
-        u, v = np.array(edges, dtype=np.int64).T
+    rng, keys = np.random.default_rng(seed), None
+    while keys is None:
+        keys = _pairing_attempt(rng, n, k)
+    u, v = np.divmod(keys, n)
     if dense:
         keep = np.triu(np.ones((n, n), dtype=bool), 1)
         keep[u, v] = False
@@ -780,36 +779,33 @@ def _regular_edges(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _pairing_attempt(rng, n: int, d: int):
-    edge_set: set[tuple[int, int]] = set()
-    edge_list: list[tuple[int, int]] = []
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+def _pairing_attempt(rng: np.random.Generator, n: int, k: int) -> np.ndarray | None:
+    """One pairing of n nodes' k stubs each, in rounds: the keys ``lo*n + hi``
+    of its edges in the order accepted, or None at a dead end.  A round
+    accepts a pair unless it is a self-loop or its key was taken before it,
+    and queues the rejected stubs again as (lo, hi), in pair order."""
+    stubs = np.repeat(np.arange(n, dtype=np.int64), k)
+    keys = np.empty(0, dtype=np.int64)
+    # the keys accepted among the stubs' nodes, the only ones a round can
+    # repeat: sorted, then one above any pair's
+    among = np.array([n * n])
     while True:
         rng.shuffle(stubs)
-        failed: list[int] = []
-        for k in range(0, stubs.size, 2):
-            a = int(stubs[k])
-            b = int(stubs[k + 1])
-            if a > b:
-                a, b = b, a
-            if a == b or (a, b) in edge_set:
-                failed.append(a)
-                failed.append(b)
-            else:
-                edge_set.add((a, b))
-                edge_list.append((a, b))
-        if not failed:
-            return edge_list
-        if not _placeable(edge_set, failed):
-            return None  # dead end, caller restarts from fresh stubs
-        stubs = np.array(failed, dtype=np.int64)
-
-
-def _placeable(edge_set, failed) -> bool:
-    # is there any pair of leftover stubs that could still become an edge?
-    nodes = sorted(set(failed))
-    for i, b in enumerate(nodes):
-        for a in nodes[:i]:
-            if (a, b) not in edge_set:
-                return True
-    return False
+        pairs = stubs.reshape(-1, 2)
+        pairs.sort(axis=1)
+        key = pairs[:, 0] * n + pairs[:, 1]
+        uniq, first = np.unique(key, return_index=True)  # each key's first pair
+        new = (among[np.searchsorted(among, uniq)] != uniq) & (pairs[first, 0] != pairs[first, 1])
+        rejected = np.ones(key.size, dtype=bool)
+        rejected[first[new]] = False
+        keys = np.append(keys, key[~rejected])
+        stubs = pairs[rejected].ravel()
+        if not stubs.size:
+            return keys
+        inside = np.zeros(n, dtype=bool)
+        inside[stubs] = True
+        among = np.sort(keys[inside[keys // n] & inside[keys % n]])
+        s = np.count_nonzero(inside)
+        if among.size == s * (s - 1) // 2:  # a dead end: the leftover nodes are a clique
+            return None  # the caller restarts from fresh stubs
+        among = np.append(among, n * n)

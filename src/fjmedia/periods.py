@@ -189,12 +189,12 @@ def ell_star(n: int, sum_s0: float, d: float, config: MediaConfig) -> float:
         raise ValueError(f"ell_star needs a growth factor above 1, got F - 1 = {rise:g}")
     if sum_s0 <= 0.0:
         raise ValueError("ell_star needs sum_s0 > 0")
-    if (1.0 + config.gamma) * sum_s0 / n > 1.0:
+    if (1.0 + config.gamma) * (sum_s0 / n) > 1.0:  # as source_opinions decides it
         raise ValueError("start is already truncated")
     ell = math.log(n / (sum_s0 * (1.0 + config.gamma))) / math.log1p(rise)
     if not math.isfinite(ell):
         raise ValueError(f"ell_star overflows: F - 1 = {rise:g} is too small")
-    return ell
+    return max(0.0, ell)  # the log rounds below 0 on the ceiling
 
 
 def analytic_summary(graph: Graph, s: np.ndarray, config: MediaConfig,

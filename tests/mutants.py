@@ -30,6 +30,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PROPERTIES = "tests/test_properties.py::"
 # each graph's layout against the edges it was built from
 LAYOUT = "tests/test_graph.py::test_a_generated_layout_is_the_sorted_input_edges"
+# ell_star where source_opinions leaves the start uncapped on the ceiling
+ELL_CEILING = ("tests/test_periods.py::"
+               "test_ell_star_on_the_ceiling_that_source_opinions_leaves_uncapped_is_zero")
+# the d-regular generator against the pairing loop, on every legal d for n <= 40
+PAIRING = "tests/test_graph.py::test_regular_generator_replays_the_pairing_loop"
 
 # (name, file under src/fjmedia, exact old text, new text, pytest selector)
 MUTANTS = [
@@ -49,6 +54,12 @@ MUTANTS = [
     ("an opinion range check that lets NaN through", "media.py",
      "not (z.min() >= 0.0 and z.max() <= 1.0)", "(z.min() < 0.0 or z.max() > 1.0)",
      ["tests/test_fj.py::test_opinion_vector_checks_range"]),
+    ("ell_star without its floor at 0", "periods.py",
+     "return max(0.0, ell)", "return ell",
+     [ELL_CEILING]),
+    ("ell_star decides truncation in another order than source_opinions", "periods.py",
+     "(1.0 + config.gamma) * (sum_s0 / n) > 1.0", "(1.0 + config.gamma) * sum_s0 / n > 1.0",
+     [ELL_CEILING]),
     ("ell_star through log of the rounded growth factor", "periods.py",
      "math.log1p(rise)", "math.log(1.0 + rise)",
      ["tests/test_periods.py::test_ell_star_matches_a_decimal_reference"]),
@@ -94,6 +105,20 @@ MUTANTS = [
     ("one resolution round for copies inside a BA block", "graph.py",
      "    while ref.size:", "    while False:",
      ["tests/test_graph.py"]),
+    ("a duplicate pair accepted within a pairing round", "graph.py",
+     "rejected[first[new]] = False", "rejected[np.isin(key, uniq[new])] = False",
+     [PAIRING]),
+    # a superset of the dead ends: one that misses a dead end can loop forever
+    ("a dead end declared one edge short of a clique", "graph.py",
+     "among.size == s * (s - 1) // 2:", "among.size >= s * (s - 1) // 2 - 1:",
+     [PAIRING]),
+    ("rejected stubs queued again as (hi, lo)", "graph.py",
+     "stubs = pairs[rejected].ravel()", "stubs = pairs[rejected][:, ::-1].ravel()",
+     [PAIRING]),
+    ("a pairing round that sorts its pairs into a copy of the stubs", "graph.py",
+     "pairs = stubs.reshape(-1, 2)\n        pairs.sort(axis=1)",
+     "pairs = np.sort(stubs.reshape(-1, 2), axis=1)",
+     ["tests/test_graph.py::test_the_pairing_holds_one_round_of_arrays"]),
     ("neighbor_sum without its tail add", "graph.py",
      "    if graph.tail_rows.size:", "    if False:",
      ["tests/test_graph.py"]),
@@ -126,7 +151,10 @@ MUTANTS = [
      "ends += start + 1", "ends += 1",
      ["tests/test_graph.py"]),
     ("the LF scan over the whole file in one chunk", "graph.py",
-     "for start in range(0, chars.size, _CHUNK):", "for start in range(0, chars.size, chars.size):",
+     'for start in range(0, chars.size, _CHUNK):\n'
+     '        ends = np.flatnonzero(chars[start:start + _CHUNK] == ord("\\n"))',
+     'for start in range(1):\n'
+     '        ends = np.flatnonzero(chars == ord("\\n"))',
      ["tests/test_harness.py::test_loading_a_file_graph_holds_no_bytes_and_no_ones"]),
     ("the remap compares run heads only within a chunk", "graph.py",
      "heads[0] = ids[0] != last", "heads[0] = True",

@@ -12,7 +12,8 @@ that stays accurate to rounding where a dense LU loses the system to cancellatio
 ``plain_cg``, the reference for the solver's own iterates, touches the
 package only through the operator's ``apply``.  ``barabasi_albert_urn`` is
 the preferential-attachment urn loop the generator replays, one
-``rng.integers`` call per draw.
+``rng.integers`` call per draw, and ``regular_pairing`` the d-regular
+pairing loop, one stub pair at a time.
 """
 
 import numpy as np
@@ -229,3 +230,59 @@ def barabasi_albert_urn(n, m, seed):
         urn.extend(picked)
         urn.extend([source] * m)
     return targets, sources
+
+
+def regular_pairing(n, d, seed):
+    """The pairing loop of the d-regular generator, one stub pair at a time.
+
+    Returns ``(lo, hi)`` lists: the edges in the order accepted, restarting
+    at each dead end on the same ``default_rng(seed)``; or, for
+    ``2d > n - 1``, the complement of the (n-1-d)-regular pairing, row by row.
+    """
+    dense = 2 * d > n - 1
+    k = n - 1 - d if dense else d
+    edges = []
+    if k:
+        rng = np.random.default_rng(seed)
+        edges = None
+        while edges is None:
+            edges = _pairing_attempt(rng, n, k)
+    if dense:
+        taken = set(edges)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in taken]
+    return [a for a, _ in edges], [b for _, b in edges]
+
+
+def _pairing_attempt(rng, n: int, d: int):
+    edge_set: set[tuple[int, int]] = set()
+    edge_list: list[tuple[int, int]] = []
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    while True:
+        rng.shuffle(stubs)
+        failed: list[int] = []
+        for k in range(0, stubs.size, 2):
+            a = int(stubs[k])
+            b = int(stubs[k + 1])
+            if a > b:
+                a, b = b, a
+            if a == b or (a, b) in edge_set:
+                failed.append(a)
+                failed.append(b)
+            else:
+                edge_set.add((a, b))
+                edge_list.append((a, b))
+        if not failed:
+            return edge_list
+        if not _placeable(edge_set, failed):
+            return None  # dead end, caller restarts from fresh stubs
+        stubs = np.array(failed, dtype=np.int64)
+
+
+def _placeable(edge_set, failed) -> bool:
+    # is there any pair of leftover stubs that could still become an edge?
+    nodes = sorted(set(failed))
+    for i, b in enumerate(nodes):
+        for a in nodes[:i]:
+            if (a, b) not in edge_set:
+                return True
+    return False

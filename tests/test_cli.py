@@ -58,10 +58,12 @@ def test_generate_to_file_roundtrips(tmp_path, capsys):
 # sha256 of the files `fjmedia generate` wrote at 0.1.18, when a graph still
 # kept its edge arrays: generate writes each generator's edges in the order
 # it makes them.  The BA files are the ones CI pins; d = 56 > (n - 1) / 2
-# is written through the complement, in row-major order
+# is written through the complement, in row-major order.  The last d-regular
+# file, written at 0.1.21 by the tuple loop, meets 4 dead ends on its way
 GENERATE_DIGESTS = [
     ("dreg", "20", "500", "1", "affa683437428c9be630d31d2cbb43e175b09e055f6e1439d04ee72487fa04e8"),
     ("dreg", "56", "60", "0", "a48d56d29cf7ddfc6e72cd6232c2dd8d69481ee72a2826bb89607e7ebfd21f17"),
+    ("dreg", "7", "24", "4", "71891d8d602235e6cf450d5640de29440712430aeea37a8238917239f95666ba"),
     ("ba", "3", "20000", "0", "86894d5a60fb59dda2c56f07eb69eba23e0770523f24349af1285faadd58043f"),
     ("ba", "40", "2000", "3", "db248ce1b888ec7fb2cb9de64f736224eb25ae26272edb621754aa091910cb4e"),
 ]

@@ -14,7 +14,7 @@ from fjmedia.cli import main as cli_main
 from fjmedia.graph import _ba_edges, _regular_edges
 from graph_cases import KERNEL_EDGES, KERNEL_GRAPHS
 from oracles import (adjacency, assert_layout_is, barabasi_albert_urn, edge_tuples,
-                     input_adjacency, neighbors)
+                     input_adjacency, neighbors, regular_pairing)
 from oracles import laplacian as dense_laplacian
 
 
@@ -681,6 +681,61 @@ def test_dreg_dense_is_the_complement_of_a_sparse_pairing(n, d):
     assert all(u < v for u, v in pairs) and len(set(pairs)) == g.m
     assert pairs == sorted(pairs)  # row-major
     assert edge_tuples(gen_random_regular(n, d, seed=0)) == edge_tuples(g)
+
+
+# (24, 7, 4) meets a dead end 4 times before its pairing completes
+REGULAR_LARGE = [(24, 7, 4), (500, 20, 1), (1000, 6, 11), (200, 30, 2), (60, 56, 0),
+                 (4038, 44, 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_regular_generator_replays_the_pairing_loop(n):
+    # every legal d, d = 0 and the dense complements included
+    for d in range(n):
+        if n * d % 2 == 0:
+            for seed in (0, 1, 2, 2**64 - 1):
+                lo, hi = _regular_edges(n, d, seed)
+                assert (lo.tolist(), hi.tolist()) == regular_pairing(n, d, seed), (n, d, seed)
+
+
+@pytest.mark.parametrize("n, d, seed", REGULAR_LARGE,
+                         ids=[f"n{n}-d{d}-seed{s}" for n, d, s in REGULAR_LARGE])
+def test_regular_generator_replays_the_pairing_loop_on_larger_graphs(n, d, seed):
+    lo, hi = _regular_edges(n, d, seed)
+    assert (lo.tolist(), hi.tolist()) == regular_pairing(n, d, seed)
+
+
+def test_a_dead_end_restarts_the_pairing_on_the_same_generator(monkeypatch):
+    # (24, 7, 4) meets 4 dead ends; the replay above holds its edges to the loop's
+    real, dead_ends = graph_module._pairing_attempt, []
+
+    def spy(*args):
+        keys = real(*args)
+        dead_ends.append(keys is None)
+        return keys
+
+    monkeypatch.setattr(graph_module, "_pairing_attempt", spy)
+    _regular_edges(24, 7, 4)
+    assert dead_ends == [True] * 4 + [False]
+
+
+def test_the_pairing_holds_one_round_of_arrays():
+    # the peak is the first round, which pairs all n*d stubs: the stubs
+    # (two int64 per edge, 16 bytes), sorted in place into pairs, each
+    # pair's key (8), and np.unique's flattened copy, permutation and sorted
+    # copy of the keys (24) and its outputs, the distinct keys and each one's
+    # first pair (16).  The bound allows 9 int64 per edge; pairs sorted into
+    # a copy of the stubs (16), or an edge held as a Python tuple, break it
+    n, d = 20_000, 6
+    _regular_edges(10, 2, 0)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        lo, hi = _regular_edges(n, d, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lo.size == n * d // 2
+    assert peak <= 72 * lo.size, f"peaks at {peak / lo.size:.1f} bytes per edge"
 
 
 def test_dreg_determinism():

@@ -323,6 +323,17 @@ def test_ell_star_boundary_is_zero():
     assert ell_star(100, 80.0, 4, config) == 0.0
 
 
+def test_ell_star_on_the_ceiling_that_source_opinions_leaves_uncapped_is_zero():
+    # (1 + gamma) (sum / n) is 1, so z_M is uncapped, but (1 + gamma) sum / n
+    # rounds above 1 and log(n / (sum (1 + gamma))) to -1.1e-16
+    config = MediaConfig(alpha=1.0, beta=0.025, gamma=0.05)
+    s = np.full(500, 0.9523809523809523)
+    assert not source_opinions(s, config.gamma).truncated
+    assert ell_star(500, 476.1904761904762, 20, config) == 0.0
+    g = gen_random_regular(500, 20, seed=0)
+    assert analytic_summary(g, s, config, all_to_M(500))["ell_star"] == 0.0
+
+
 def decimal_ell_star(n, sum_s0, d, config):
     """ell* in 60-digit decimal arithmetic from the exact values of its inputs."""
     with decimal.localcontext() as ctx:
