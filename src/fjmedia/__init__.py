@@ -14,7 +14,7 @@ from .periods import *  # noqa: F401,F403
 from .nonstubborn import *  # noqa: F401,F403
 from .harness import *  # noqa: F401,F403
 
-__version__ = "0.1.22"
+__version__ = "0.1.23"
 
 # each module's __all__ declares its public names; the package exports them all
 __all__ = [name for module in (graph, numerics, media, fj, periods, nonstubborn, harness)

@@ -29,12 +29,14 @@ the ids would; it gives int32 labels, and the file's int64 ids are dropped
 before the graph is built from them.  A file's line ends are made LF once,
 as text mode reads them, before any parse; every step of the table path then
 reads those LF-only bytes, and only the line reader ``_load_lines``, the
-reference that path is tested against, keeps text mode's own line rules.  A
-file that numpy parses as one table is built without its bytes, which are
-dropped once parsed, and with its unit weights as a scalar 1.0 (a
-unit-weight degree is its row count).  That path words an edge error itself,
-from the file ids the remap returns and the comment and blank lines the
-parse skipped.
+reference that path is tested against, keeps text mode's own line rules.
+The table path takes one file shape: a header of comment and blank lines,
+then lines that are all edges, as SNAP files and every file ``fjmedia
+generate`` writes are.  Such a file is parsed by numpy as one table and
+built without its bytes, which are dropped once parsed, and with its unit
+weights as a scalar 1.0 (a unit-weight degree is its row count).  That path
+words an edge error itself, from the file ids the remap returns and the
+header's line count.  Any other file goes to the line reader.
 """
 
 from __future__ import annotations
@@ -324,13 +326,15 @@ def load_edge_list(path) -> Graph:
     ``path`` is a file path, or a binary stream (anything with ``read``) that
     is read to its end and left open.  The bytes are read once, and each
     CRLF or lone CR in them becomes an LF, once, before any parse: text mode
-    ends a line there too.  numpy first parses an ASCII file as one table,
-    and once that parse has taken the whole file the bytes are dropped: the
-    graph is built from the table alone, and an edge that breaks a rule is
-    named from the table, with the file's ids and a line number counted past
-    the comment and blank lines the parse skipped.  Only when the table
-    parse cannot take the file does the line reader parse the same bytes
-    and word any error.
+    ends a line there too.  An ASCII file whose lines after a header of
+    comment and blank lines are all edges is parsed by numpy as one table,
+    and then the bytes are dropped: the graph is built from the table alone,
+    and an edge that breaks a rule is named from the table, with the file's
+    ids and its row counted past the header.  Any other file, one with a
+    comment or blank line among or after its edges included, is parsed from
+    the same bytes by the line reader, which also words any error; it holds
+    each line's numbers as Python objects, so it takes several times the
+    table's time and memory.
     """
     with (nullcontext(path) if hasattr(path, "read") else open(path, "rb")) as fh:
         data = fh.read()
@@ -341,26 +345,27 @@ def load_edge_list(path) -> Graph:
     if table is None:
         return _load_lines(data)
     del data  # the only reference: the graph is built without the file's bytes
-    ids, w, skipped = table
+    ids, w, head = table
     del table
     labels, file_ids = _relabel_by_first_appearance(ids)
     del ids  # the table's int64 ids: the graph is built from the int32 labels
-    return _table_graph(labels, file_ids, w, skipped)
+    return _table_graph(labels, file_ids, w, head)
 
 
 # the bytes str.split splits at within a line: ASCII whitespace but the LF
 # that ends it.  The table path splits at these alone, as bytes.split and a
 # bytes regex's \s miss \x1c-\x1f
 _BLANKS = bytes(c for c in range(128) if c != ord("\n") and chr(c).isspace())
-_BLANK = np.array([c in _BLANKS for c in range(256)])
 # the first line whose first token does not start with '#'
 _DATA_LINE = re.compile(b"^[%s]*[^%s\n#].*" % (_BLANKS, _BLANKS), re.MULTILINE)
 
 
-def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray | float, np.ndarray] | None:
-    # the whole of the LF-only ASCII ``data`` through np.loadtxt: its ids in
-    # file order, u0 v0 u1 v1 ..., its weights and the numbers of the lines
-    # it skipped; or None to leave the file to _load_lines
+def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray | float, int] | None:
+    # the LF-only ASCII ``data`` through np.loadtxt when its lines after the
+    # header are all edges: its ids in file order, u0 v0 u1 v1 ..., its
+    # weights and the header's line count; or None to leave the file to
+    # _load_lines.  With no comment character a '#' past the header fails
+    # the parse, and a blank line, which loadtxt skips, fails the line count
     ncols, head = _table_columns(data)
     if not ncols:
         return None
@@ -368,8 +373,11 @@ def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray | float, np.ndarra
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. a float read into an id
-            table = np.loadtxt(io.BytesIO(data), dtype=dtype, ndmin=1)
+            table = np.loadtxt(io.BytesIO(data), dtype=dtype, comments=None,
+                               skiprows=head, ndmin=1)
     except (ValueError, OverflowError, Warning):
+        return None
+    if data.count(b"\n") + (not data.endswith(b"\n")) != head + table.size:
         return None
     if ncols == 2:
         ids = table.view(np.int64)  # u0 v0 u1 v1 ...: two int64 fields, no padding
@@ -381,23 +389,19 @@ def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray | float, np.ndarra
     del table
     if ids.min() < 0:
         return None
-    return ids, w, _skipped_lines(data, ids.size // 2, head)
+    return ids, w, head
 
 
 def _table_graph(labels: np.ndarray, file_ids: np.ndarray, w: np.ndarray | float,
-                 skipped: np.ndarray) -> Graph:
+                 head: int) -> Graph:
     # the graph of a parsed table, its ids relabelled; an edge that breaks a
     # rule is named as _load_lines names it, by its line and the file's ids
     ids = labels.reshape(-1, 2)  # Graph reads the columns as they lie
     try:
         return Graph(file_ids.size, ids[:, 0], ids[:, 1], w)
     except _EdgeError as exc:
-        # row k is data line k + 1, moved down by each skipped line before
-        # it: skipped line j (from 0) has skipped[j] - 1 - j data lines above
-        k = exc.index
-        line = k + 1 + int(np.searchsorted(skipped - np.arange(1, skipped.size + 1), k,
-                                           side="right"))
-        raise _edge_error(line, exc, *file_ids[ids[k]]) from None
+        k = exc.index  # every line past the header is a row: row k is line head + k + 1
+        raise _edge_error(head + k + 1, exc, *file_ids[ids[k]]) from None
 
 
 def _edge_error(line: int, exc: _EdgeError, a, b) -> ValueError:
@@ -406,62 +410,14 @@ def _edge_error(line: int, exc: _EdgeError, a, b) -> ValueError:
 
 
 def _table_columns(data: bytes) -> tuple[int, int]:
-    # (2 or 3, the lines before the first data line) when np.loadtxt would
-    # read the file as _load_lines does, else (0, 0): loadtxt cuts an inline
-    # '#' where the line reader rejects the line
-    if not _comments_start_lines(data):
-        return 0, 0
+    # (2 or 3, the lines before the first data line), or (0, 0) when the
+    # first data line has another number of tokens or there is none
     first = _DATA_LINE.search(data)
     # str.split, not bytes.split: it splits at every byte of _BLANKS
     ncols = len(first.group().decode().split()) if first else 0
     if ncols not in (2, 3):
         return 0, 0
     return ncols, data.count(b"\n", 0, first.start())
-
-
-def _comments_start_lines(data: bytes) -> bool:
-    # is every '#' on a line that has nothing but blanks before its first '#'?
-    pos = data.find(b"#")
-    while pos >= 0:
-        if data[data.rfind(b"\n", 0, pos) + 1:pos].strip(_BLANKS):
-            return False
-        end = data.find(b"\n", pos)
-        if end < 0:
-            return True
-        pos = data.find(b"#", end)
-    return True
-
-
-def _skipped_lines(data: bytes, rows: int, head: int) -> np.ndarray:
-    # the numbers of the comment and blank lines np.loadtxt skipped, in
-    # order, when it read ``rows`` data lines from ``data`` and ``head``
-    # lines came before the first.  A count of the lines (the LFs, and a
-    # last line without one) shows whether any line after the first data
-    # line was skipped (a header is the common case and is not scanned);
-    # only then are the lines scanned, all at once, with no loop over them:
-    # each line's first byte past its blanks is '#' on a comment line and
-    # the LF on a blank one.  The LFs are found a chunk of bytes at a time,
-    # so one int64 per line is the scan's only array as long as the file.
-    # A last line without an LF is not scanned: no data line follows it, so
-    # it moves no line number
-    lines = data.count(b"\n")
-    if lines + (not data.endswith(b"\n")) == head + rows:
-        return np.arange(1, head + 1)
-    chars = np.frombuffer(data, dtype=np.uint8)
-    first = np.empty(lines + 1, dtype=np.int64)  # 0, then one past each LF
-    first[0], filled = 0, 1
-    for start in range(0, chars.size, _CHUNK):
-        ends = np.flatnonzero(chars[start:start + _CHUNK] == ord("\n"))
-        ends += start + 1
-        first[filled:filled + ends.size] = ends
-        filled += ends.size
-    first = first[:-1]  # each LF-ended line's first byte, then past its blanks
-    at = np.flatnonzero(_BLANK[chars[first]])
-    while at.size:
-        first[at] += 1
-        at = at[_BLANK[chars[first[at]]]]
-    lead = chars[first]
-    return np.flatnonzero((lead == ord("#")) | (lead == ord("\n"))) + 1
 
 
 def _relabel_by_first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -524,7 +480,7 @@ def _sorted_runs(packed: np.ndarray, bits: int):
         yield chunk, ids, heads
 
 
-_CHUNK = 1 << 16  # entries per step of the remap, bytes per step of the LF scan
+_CHUNK = 1 << 16  # entries per step of the remap
 
 
 def _load_lines(data: bytes) -> Graph:

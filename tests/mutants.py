@@ -35,6 +35,8 @@ ELL_CEILING = ("tests/test_periods.py::"
                "test_ell_star_on_the_ceiling_that_source_opinions_leaves_uncapped_is_zero")
 # the d-regular generator against the pairing loop, on every legal d for n <= 40
 PAIRING = "tests/test_graph.py::test_regular_generator_replays_the_pairing_loop"
+# one file of LOADER_CASES against the line reader, by its name in brackets
+LOADER = "tests/test_graph.py::test_load_table_parse_matches_the_line_reader"
 
 # (name, file under src/fjmedia, exact old text, new text, pytest selector)
 MUTANTS = [
@@ -86,7 +88,7 @@ MUTANTS = [
      'pass\n'
      '    table = (_parse_table(data.replace(b"\\r\\n", b"\\n").replace(b"\\r", b"\\n"))\n'
      '             if data.isascii() else None)',
-     ["tests/test_harness.py::test_loading_a_file_graph_holds_no_bytes_and_no_ones"]),
+     ["tests/test_graph.py::test_the_table_parse_holds_the_only_copy_of_the_file_bytes"]),
     ("a non-ASCII file given to the table parse", "graph.py",
      "table = _parse_table(data) if data.isascii() else None",
      "table = _parse_table(data)",
@@ -141,21 +143,23 @@ MUTANTS = [
     ("degree from the row counts on a weighted graph", "graph.py",
      "        if unit:  # a sum of ones is exact", "        if True:  # a sum of ones is exact",
      ["tests/test_graph.py"]),
-    ("the table's skipped-line map off by one", "graph.py",
-     '(lead == ord("\\n"))) + 1', '(lead == ord("\\n")))',
-     ["tests/test_graph.py"]),
-    ("the skipped-line count without a last line that has no line end", "graph.py",
-     'lines + (not data.endswith(b"\\n")) == head + rows', "lines == head + rows",
-     ["tests/test_graph.py"]),
-    ("the LF scan places a chunk's line ends from the chunk's start", "graph.py",
-     "ends += start + 1", "ends += 1",
-     ["tests/test_graph.py"]),
-    ("the LF scan over the whole file in one chunk", "graph.py",
-     'for start in range(0, chars.size, _CHUNK):\n'
-     '        ends = np.flatnonzero(chars[start:start + _CHUNK] == ord("\\n"))',
-     'for start in range(1):\n'
-     '        ends = np.flatnonzero(chars == ord("\\n"))',
-     ["tests/test_harness.py::test_loading_a_file_graph_holds_no_bytes_and_no_ones"]),
+    ("the line count without a last line that has no line end", "graph.py",
+     'data.count(b"\\n") + (not data.endswith(b"\\n")) != head + table.size',
+     'data.count(b"\\n") != head + table.size',
+     [LOADER + "[self-loop, contiguous edges, no final line end]"]),
+    ("the line count check dropped, so a blank line among the edges moves no line number",
+     "graph.py",
+     '    if data.count(b"\\n") + (not data.endswith(b"\\n")) != head + table.size:\n'
+     '        return None\n',
+     "",
+     [LOADER + "[self-loop before a blank line]"]),
+    ("loadtxt strips comments, so an inline # is cut where the line reader refuses the line",
+     "graph.py",
+     "dtype=dtype, comments=None,", "dtype=dtype,",
+     [LOADER + "[inline #]"]),
+    ("the table path's error line not counted past the header", "graph.py",
+     "_edge_error(head + k + 1,", "_edge_error(head + k,",
+     [LOADER + "[self-loop after a comment header]"]),
     ("the remap compares run heads only within a chunk", "graph.py",
      "heads[0] = ids[0] != last", "heads[0] = True",
      ["tests/test_graph.py::test_load_remaps_an_id_whose_run_crosses_a_remap_chunk"]),
@@ -163,7 +167,7 @@ MUTANTS = [
      "        if n >= _NODE_LIMIT:", "        if False:",
      ["tests/test_graph.py::test_a_graph_of_2_31_nodes_is_refused_before_any_allocation"]),
     ("the table path names an edge by its relabelled ids", "graph.py",
-     "raise _edge_error(line, exc, *file_ids[ids[k]])", "raise _edge_error(line, exc, *ids[k])",
+     "exc, *file_ids[ids[k]])", "exc, *ids[k])",
      ["tests/test_graph.py"]),
     ("the table's int64 ids kept while the graph is built", "graph.py",
      "    del ids  # the table's int64 ids", "    pass  # the table's int64 ids",

@@ -14,7 +14,7 @@ from fjmedia.cli import main as cli_main
 from fjmedia.graph import _ba_edges, _regular_edges
 from graph_cases import KERNEL_EDGES, KERNEL_GRAPHS
 from oracles import (adjacency, assert_layout_is, barabasi_albert_urn, edge_tuples,
-                     input_adjacency, neighbors, regular_pairing)
+                     input_adjacency, neighbors, regular_pairing, stored_bytes)
 from oracles import laplacian as dense_laplacian
 
 
@@ -96,15 +96,6 @@ def test_graph_keeps_its_degree_and_adjacency_only():
         "longest_row"]
     g = path3()
     assert not any(hasattr(g, name) for name in ("edge_u", "edge_v", "edge_w"))
-
-
-STORED = ("degree", "head", "head_w", "tail", "tail_w", "tail_rows", "tail_starts")
-
-
-def stored_bytes(g):
-    """n, m, longest_row and the bytes of every array ``g`` keeps (None for an absent one)."""
-    return g.n, g.m, g.longest_row, [None if (a := getattr(g, f)) is None else a.tobytes()
-                                     for f in STORED]
 
 
 @pytest.mark.parametrize("w", [1.0, 2.5])
@@ -410,12 +401,36 @@ def test_load_handles_crlf(tmp_path):
     assert edge_tuples(g) == [(0, 1, 1.5), (1, 2, 1.0)]
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "lone CR"])
+def test_the_table_parse_holds_the_only_copy_of_the_file_bytes(tmp_path, monkeypatch,
+                                                                 newline):
+    # the LF-only bytes replace the raw bytes, which are freed before the
+    # parse: a raw copy kept beside them would double what the parse starts with
+    p = tmp_path / "g.txt"
+    p.write_bytes(newline.join(f"{i} {i + 1}" for i in range(20_000)).encode())
+    held, real_parse_table = [], graph_module._parse_table
+
+    def spying_parse_table(data):
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return real_parse_table(data)
+
+    monkeypatch.setattr(graph_module, "_parse_table", spying_parse_table)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        load_edge_list(p)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] < 1.5 * p.stat().st_size, held
+
+
 # name, file bytes (None: written by `fjmedia generate`), whether
-# load_edge_list builds the graph from numpy's whole-table parse; when it
-# does, it also words an edge error, with the file's ids and the line past
-# every skipped line
+# load_edge_list builds the graph from numpy's whole-table parse, which
+# takes a file whose lines after its header of comment and blank lines are
+# all edges; when it does, it also words an edge error, with the file's ids
+# and the line past the header
 LOADER_CASES = [
-    ("comments and blanks", b"# head # er\n\n5 9\n  \t\n   # indented\n9 7\n7 5\n", True),
+    ("comments and blanks", b"# head # er\n\n5 9\n  \t\n   # indented\n9 7\n7 5\n", False),
     ("generated, 3 columns", None, True),
     ("CRLF", b"0 1 1.5\r\n1 2 0.25\r\n", True),
     ("lone CR", b"0 1 1.5\r1 2 0.25\r", True),
@@ -440,35 +455,40 @@ LOADER_CASES = [
     ("duplicate reversed", b"0 1\n1 2\n1 0\n", True),
     # relabelled, these ids would read 1-0 and 2-2
     ("duplicate of remapped ids", b"5 9\n9 7\n9 5\n", True),
-    ("self-loop after skipped lines", b"# c\n\n5 9\n  \n9 7\n\t# x\n7 7\n8 5\n", True),
-    # the scan finds the LFs 64 KiB at a time: skipped lines in every chunk
+    ("self-loop after skipped lines", b"# c\n\n5 9\n  \n9 7\n\t# x\n7 7\n8 5\n", False),
+    # skipped lines in every 64 KiB of the file
     ("self-loop after skipped lines in six chunks of bytes",
      b"".join(line + b"# c\n \n" * (i % 1000 == 999) for i, line in
-              enumerate(_path_lines(30_000).splitlines(keepends=True))) + b"7 7\n", True),
+              enumerate(_path_lines(30_000).splitlines(keepends=True))) + b"7 7\n", False),
     ("self-loop after a comment header", b"# c\n# d\n5 9\n9 7\n7 7\n", True),
-    ("self-loop before a blank line", b"5 9\n\n9 9\n\n7 5\n", True),
-    ("self-loop after lone-CR blank lines", b"5 9\r\r9 7\r \r7 7\r", True),
-    ("self-loop after CRLF blank lines", b"# c\r\n\r\n5 9\r\n \t\r\n9 7\r\n7 7\r\n", True),
-    ("self-loop after mixed line ends", b"5 9\r\n\r9 7\r\n \r\r\n7 7\n8 5\r", True),
-    ("self-loop, CRLF, no final line end", b"5 9\r\n  \r\n9 9", True),
-    ("self-loop, no final line end", b"5 9\n\n9 9", True),
-    ("comment as the last line, no final line end", b"5 9\n9 7\n# end", True),
+    ("self-loop after a header of blank and comment lines", b"# c\n\n  \n# d\n5 9\n9 7\n7 7\n",
+     True),
+    ("self-loop, contiguous edges, no final line end", b"5 9\n9 7\n7 7", True),
+    ("self-loop before a trailing blank line", b"# c\n5 9\n9 7\n7 7\n\n", False),
+    ("self-loop after a CRLF comment header", b"# c\r\n# d\r\n5 9\r\n9 7\r\n7 7\r\n", True),
+    ("self-loop before a blank line", b"5 9\n\n9 9\n\n7 5\n", False),
+    ("self-loop after lone-CR blank lines", b"5 9\r\r9 7\r \r7 7\r", False),
+    ("self-loop after CRLF blank lines", b"# c\r\n\r\n5 9\r\n \t\r\n9 7\r\n7 7\r\n", False),
+    ("self-loop after mixed line ends", b"5 9\r\n\r9 7\r\n \r\r\n7 7\n8 5\r", False),
+    ("self-loop, CRLF, no final line end", b"5 9\r\n  \r\n9 9", False),
+    ("self-loop, no final line end", b"5 9\n\n9 9", False),
+    ("comment as the last line, no final line end", b"5 9\n9 7\n# end", False),
     ("self-loop, 2 and 3 columns", b"# c\n5 9\n\n9 7 2\n7 7\n", False),
     # the other ASCII blanks str.split splits at, which a bytes regex's \s
     # and bytes.split do not: \x0b, \x0c and \x1c-\x1f
-    ("other blanks as blank lines", b"# c\n5 9\n\x1c\n\x0b\x1d\n9 7\n\x0c\x1e\x1f\n7 7\n", True),
+    ("other blanks as blank lines", b"# c\n5 9\n\x1c\n\x0b\x1d\n9 7\n\x0c\x1e\x1f\n7 7\n", False),
     ("other blanks as lone-CR blank lines", b"# c\r5 9\r\x1c\r\x0b\x1d\r9 7\r\x0c\x1e\x1f\r7 7\r",
-     True),
+     False),
     ("other blanks between tokens", b"5\x1c9\x1d2\n9\x0b\x1f\x1e7\x0c1\n7\x0c\x1d7 3\n", True),
     ("other blanks between tokens, lone CR", b"5\x1c9\x1d2\r9\x0b\x1f\x1e7\x0c1\r7\x0c\x1d7 3\r",
      True),
-    ("other blanks before comments", b"5 9\n\x1f# c\n\x0b\x0c# d\n\x1c\x1d\x1e#\n9 9\n", True),
+    ("other blanks before comments", b"5 9\n\x1f# c\n\x0b\x0c# d\n\x1c\x1d\x1e#\n9 9\n", False),
     ("other blanks before comments, lone CR", b"5 9\r\x1f# c\r\x0b\x0c# d\r\x1c\x1d\x1e#\r9 9\r",
-     True),
+     False),
     ("other blanks after data", b"5 9\x1d\n9 7\x0b\x0c\n7 5\x1e\x1f\n8 8\x1c\n", True),
     ("other blanks after data, lone CR", b"5 9\x1d\r9 7\x0b\x0c\r7 5\x1e\x1f\r8 8\x1c\r", True),
-    ("a \\x1c blank line after a comment", b"# c\n5 9\n\x1c\n9 7\n7 7\n", True),
-    ("other blanks, LF and lone-CR ends", b"5 9\n\x1f\n\x0c\n9 7\r\x1d\r7 7\r", True),
+    ("a \\x1c blank line after a comment", b"# c\n5 9\n\x1c\n9 7\n7 7\n", False),
+    ("other blanks, LF and lone-CR ends", b"5 9\n\x1f\n\x0c\n9 7\r\x1d\r7 7\r", False),
     # loadtxt reads it as Latin-1, where \x85 is a blank; the line reader
     # refuses the line as not UTF-8
     ("NEL byte between ids", b"0 1\n1\x852\n", False),

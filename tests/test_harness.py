@@ -377,49 +377,37 @@ def test_file_graph_is_read_once_and_hashed_as_parsed(tmp_path, monkeypatch, ope
     assert parsed == []
 
 
-def _circulant_file(path, header, middle, newline):
+def _circulant_file(path, header, newline):
     # 100 000 unit-weight "u v" lines: a 20-regular circulant on 10 000
-    # nodes, ids and lines shuffled, under an optional comment header and
-    # with optional text between the two halves of the edges
+    # nodes, ids and lines shuffled, under an optional comment header
     n, m = 10_000, 100_000
     rng = np.random.default_rng(5)
     u = np.repeat(np.arange(n), 10)
     v = (u + np.tile(np.arange(1, 11), n)) % n
     perm, order = rng.permutation(n), rng.permutation(m)
     with open(path, "w", encoding="ascii", newline=newline) as fh:
-        edges = np.column_stack([perm[u][order], perm[v][order]])
         fh.write(header)
-        np.savetxt(fh, edges[:m // 2], fmt="%d")
-        fh.write(middle)
-        np.savetxt(fh, edges[m // 2:], fmt="%d")
+        np.savetxt(fh, np.column_stack([perm[u][order], perm[v][order]]), fmt="%d")
     return n, m
 
 
 _HEADER = "# a 20-regular circulant\n# 100000 edges\n"
 
 
-_MIDDLE = "\n# the second half\n"  # the skipped-line map then scans every line
-
-
-@pytest.mark.parametrize("header, middle, newline", [
-    ("", "", "\n"), (_HEADER, "", "\n"), (_HEADER, _MIDDLE, "\n"), (_HEADER, _MIDDLE, "\r\n"),
-    (_HEADER, "", "\r"), (_HEADER, _MIDDLE, "\r"),
-], ids=["plain", "comment header", "lines skipped among the edges", "CRLF, lines skipped",
-        "lone CR, comment header", "lone CR, lines skipped"])
-def test_loading_a_file_graph_holds_no_bytes_and_no_ones(tmp_path, header, middle, newline):
+@pytest.mark.parametrize("header, newline", [
+    ("", "\n"), (_HEADER, "\n"), (_HEADER, "\r\n"), (_HEADER, "\r"),
+], ids=["plain", "comment header", "CRLF, comment header", "lone CR, comment header"])
+def test_loading_a_file_graph_holds_no_bytes_and_no_ones(tmp_path, header, newline):
     # the ingest peak is the graph's build from the int32 labels (8 bytes
     # per edge): the int64 sort keys (16) and their int32 copy (8).  The
     # file's bytes (about 10 per edge here) and the table (16) go before
-    # it; when lines are skipped among the edges, their scan holds one
-    # int64 per line beside them (8), which stays below the build's peak.
-    # The graph keeps the head of int32 ids, 8 bytes per edge, and neither
-    # its edge arrays nor its unit weights, which are one scalar 1.0.  Each
-    # bound allows 12 int64 per node at the peak and 2 kept beside them (the
-    # degree): the file's bytes, its raw bytes kept beside their LF-only
-    # copy, the table's int64 ids, an array of ones (8), a scan that holds
-    # a second per-line array (8) or a kept edge array breaks it
+    # it.  The graph keeps the head of int32 ids, 8 bytes per edge, and
+    # neither its edge arrays nor its unit weights, which are one scalar
+    # 1.0.  Each bound allows 12 int64 per node at the peak and 2 kept
+    # beside them (the degree): the file's bytes, the table's int64 ids, an
+    # array of ones (8) or a kept edge array breaks it
     path = tmp_path / "circulant.edges"
-    n, m = _circulant_file(path, header, middle, newline)
+    n, m = _circulant_file(path, header, newline)
     config = ExperimentConfig(mode="bounds", graph=GraphSpec(kind="file", path=str(path)),
                               alpha=1.0, beta=0.025, gamma=0.01, repetitions=1)
     run_experiment(config)  # first-call allocations stay out of the count

@@ -39,7 +39,7 @@ from fjmedia.cli import main
 import fjmedia.graph as graph_module
 from graph_cases import KERNEL_GRAPHS
 from oracles import (adjacency, assert_layout_is, barabasi_albert_urn, edge_tuples,
-                     input_adjacency, jacobi_solve, laplacian, mmatrix_solve)
+                     input_adjacency, jacobi_solve, laplacian, mmatrix_solve, stored_bytes)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -271,6 +271,62 @@ def test_load_error_names_the_defect_line(edge_file, data, edges, defect):
 
     with pytest.raises(ValueError, match=f"^line {at + 1}: "):
         load_edge_list(edge_file)
+
+
+# the tokens of an edge-list line: ids, weights and junk the line reader
+# refuses or reads another way than the table parse might
+IDS = ["0", "1", "2", "3", "7", "12", str(2**63), "-1"]
+WEIGHTS = ["0.25", "1.5", "inf", "nan", "0", "-1"]
+JUNK = ["#", "#c", "x", "1.0", "+3"]
+# the blanks within a line; a CR ends one, as text mode reads it
+BLANKS = [chr(c) for c in graph_module._BLANKS if c != ord("\r")]
+
+
+@st.composite
+def any_file(draw):
+    """The bytes of 0 to 10 lines, each a comment, a blank line or 1 to 4
+    tokens joined by blanks, perhaps followed by an inline comment; every
+    line ends the same way, and the last perhaps not at all.  Each file has
+    a width of 2 or 3 tokens and a rate at which a choice goes astray (a
+    line that is no edge or not of that width, a token not of its column, an
+    inline comment), so that many files take the table parse and many only
+    just miss it; lines before the first edge are often a header."""
+    width, rate = draw(st.sampled_from([2, 3])), draw(st.sampled_from([4, 30]))
+
+    def astray():
+        return draw(st.integers(1, rate)) == 1
+
+    lines, edges = [], False
+    for _ in range(draw(st.integers(0, 10))):
+        if (not edges and draw(st.booleans())) or astray():
+            line = draw(st.sampled_from(["# c", "", " ", "\t", "\x0b", "\x1c"]))
+        else:
+            edges, line = True, ""
+            for k in range(draw(st.integers(1, 4)) if astray() else width):
+                pool = IDS + WEIGHTS + JUNK if astray() else IDS[:6] if k < 2 else WEIGHTS
+                blank = "".join(draw(st.lists(st.sampled_from(BLANKS), min_size=1, max_size=2)))
+                line += (blank if k else "") + draw(st.sampled_from(pool))
+        if astray():
+            line += " #x"
+        lines.append(line)
+    newline = draw(NEWLINES)
+    text = newline.join(lines)
+    if lines and draw(st.booleans()):
+        text += newline
+    return text.encode()
+
+
+@settings(SETTINGS, max_examples=300)
+@given(any_file())
+def test_the_table_parse_and_the_line_reader_agree_on_any_file(data):
+    def outcome(load, given):
+        try:
+            return stored_bytes(load(given))
+        except ValueError as exc:
+            return str(exc)
+
+    lf = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    assert outcome(load_edge_list, io.BytesIO(data)) == outcome(graph_module._load_lines, lf)
 
 
 # ---------------------------------------------------------------------------
